@@ -9,13 +9,12 @@ blowup oracle.
 from .action import (
     ActionError,
     CyclicAction,
-    Subgroup,
     ValidationReport,
+    cycles,
     fixed_vertices,
     lift_voltage_graph,
     stabilized_edges,
     validate,
-    vertex_orbit_sizes,
 )
 from .blowup import BlownUpModel, base_change, oracle_splits
 from .constructions import (

@@ -1,19 +1,22 @@
 """Cyclic group actions on multigraphs.
 
 An action of the cyclic group of order ``I`` is recorded by the permutations
-that a chosen generator induces on vertex and edge identifiers.  Because the
-group is cyclic it has exactly one subgroup per divisor ``d`` of ``I``,
-namely the one generated by the ``d``-th power of the generator, so
-subgroups are addressed by that co-degree ``d`` alone.
-
-Besides validation, the module computes orbit sizes, fixed vertices and
-stabilized edges per subgroup, and lifts voltage graphs into derived graphs
-carrying a vertex-free action (the workhorse for randomized testing).
+that a chosen generator induces on vertex and edge identifiers.  The group
+has one subgroup per divisor ``d`` of ``I``, generated by the ``d``-th power
+of the generator, so subgroups are addressed by that co-degree ``d`` alone.
+That power fixes ``x`` iff the length of the generator's cycle through ``x``
+divides ``d``: :func:`cycles` is the one walk over a permutation, and each
+action caches its cycle lengths.  The module also validates actions and lifts
+voltage graphs into derived graphs carrying a vertex-free action (the
+workhorse for randomized testing).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
 
 from .multigraph import MultiGraph
 
@@ -22,34 +25,66 @@ class ActionError(ValueError):
     """Invalid action parameters (bad order, bad subgroup degree, ...)."""
 
 
+def cycles(mapping: Mapping[str, str]) -> list[list[str]]:
+    """The cycles of a permutation given as a dict, each from its first key in dict order."""
+    seen: set[str] = set()
+    out = []
+    for x in mapping:
+        if x in seen:
+            continue
+        cycle = [x]
+        seen.add(x)
+        y = mapping[x]
+        while y != x:
+            if y in seen or y not in mapping:
+                raise ActionError(f"not a permutation: the walk from {x!r} never returns")
+            cycle.append(y)
+            seen.add(y)
+            y = mapping[y]
+        out.append(cycle)
+    return out
+
+
+def _cycle_lengths(mapping: Mapping[str, str]) -> dict[str, int]:
+    return {x: len(c) for c in cycles(mapping) for x in c}
+
+
+def map_power(mapping: dict[str, str], k: int) -> dict[str, str]:
+    """The ``k``-fold composite of a permutation given as a dict, keys in input order."""
+    image = {}
+    for c in cycles(mapping):
+        shift = k % len(c)
+        image.update(zip(c, c[shift:] + c[:shift]))
+    return {x: image[x] for x in mapping}
+
+
 @dataclass(frozen=True)
 class CyclicAction:
     """Generator images of a cyclic group acting by graph automorphisms.
 
     ``order`` is the order of the acting group, not necessarily the exact
     order of the generator permutation (the action may be non-faithful, as
-    with a trivial action declared at order 1).
+    with a trivial action declared at order 1).  The maps must not change
+    after construction: their cycle lengths are cached.
     """
 
     order: int
     vertex_map: dict[str, str]
     edge_map: dict[str, str]
 
+    @cached_property
+    def vertex_orbit(self) -> Mapping[str, int]:
+        """Length of the generator's cycle through each vertex: its orbit size."""
+        return _cycle_lengths(self.vertex_map)
 
-@dataclass(frozen=True)
-class Subgroup:
-    """The subgroup generated by the ``d``-th power of the generator.
+    @cached_property
+    def edge_orbit(self) -> Mapping[str, int]:
+        return _cycle_lengths(self.edge_map)
 
-    ``d`` must divide the acting order ``I``; the subgroup then has order
-    ``I/d`` and index ``d``.  ``d == I`` is the trivial subgroup, ``d == 1``
-    the whole group.
-    """
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ActionError(f"subgroup co-degree must be positive, got {self.d}")
+    @cached_property
+    def exact_order(self) -> int:
+        """Order of the generator: the lcm of all cycle lengths."""
+        return math.lcm(*self.vertex_orbit.values(), *self.edge_orbit.values())
 
 
 @dataclass(frozen=True)
@@ -66,14 +101,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def map_power(mapping: dict[str, str], k: int) -> dict[str, str]:
-    """The ``k``-fold composite of a permutation given as a dict."""
-    out = {x: x for x in mapping}
-    for _ in range(k):
-        out = {x: mapping[y] for x, y in out.items()}
-    return out
 
 
 def _bijection_violations(mapping: dict[str, str], domain: set[str], law: str) -> list[Violation]:
@@ -120,58 +147,38 @@ def validate(g: MultiGraph, a: CyclicAction) -> ValidationReport:
                 )
             )
 
-    for v, w in map_power(a.vertex_map, a.order).items():
-        if v != w:
+    for v in a.vertex_map:
+        if a.order % a.vertex_orbit[v]:
             violations.append(Violation("order", v, f"vertex not fixed by the {a.order}-th iterate"))
-    for e, f in map_power(a.edge_map, a.order).items():
-        if e != f:
+    for e in a.edge_map:
+        if a.order % a.edge_orbit[e]:
             violations.append(Violation("order", e, f"edge not fixed by the {a.order}-th iterate"))
     return ValidationReport(tuple(violations))
 
 
-def subgroup_generator(a: CyclicAction, h: Subgroup) -> tuple[dict[str, str], dict[str, str]]:
-    """Vertex and edge maps of the generator of the subgroup ``h``."""
-    if a.order % h.d != 0:
-        raise ActionError(f"subgroup co-degree {h.d} does not divide the order {a.order}")
-    return map_power(a.vertex_map, h.d), map_power(a.edge_map, h.d)
+def _check_codegree(a: CyclicAction, d: int) -> None:
+    if d < 1 or a.order % d != 0:
+        raise ActionError(f"subgroup co-degree {d} does not divide the order {a.order}")
 
 
-def vertex_orbit_sizes(g: MultiGraph, a: CyclicAction, h: Subgroup) -> dict[str, int]:
-    """Size of each vertex's orbit under the subgroup; always divides ``I/d``."""
-    gen_v, _ = subgroup_generator(a, h)
-    sizes: dict[str, int] = {}
-    for v in g.vertices:
-        if v in sizes:
-            continue
-        orbit = [v]
-        w = gen_v[v]
-        while w != v:
-            orbit.append(w)
-            w = gen_v[w]
-        for u in orbit:
-            sizes[u] = len(orbit)
-    return sizes
+def fixed_vertices(g: MultiGraph, a: CyclicAction, d: int) -> set[str]:
+    """Vertices fixed by the ``d``-th power of the generator, hence by its whole subgroup."""
+    _check_codegree(a, d)
+    return {v for v in g.vertices if d % a.vertex_orbit[v] == 0}
 
 
-def fixed_vertices(g: MultiGraph, a: CyclicAction, h: Subgroup) -> set[str]:
-    """Vertices fixed by the subgroup's generator, hence by the whole subgroup."""
-    gen_v, _ = subgroup_generator(a, h)
-    return {v for v in g.vertices if gen_v[v] == v}
+def stabilized_edges(g: MultiGraph, a: CyclicAction, d: int) -> set[tuple[str, bool]]:
+    """Edges sent to themselves by the ``d``-th power of the generator.
 
-
-def stabilized_edges(g: MultiGraph, a: CyclicAction, h: Subgroup) -> set[tuple[str, bool]]:
-    """Edges sent to themselves by the subgroup's generator.
-
-    The boolean records whether the generator exchanges the edge's
-    endpoints; it is False for loops and for pointwise-fixed edges.
+    The boolean records whether that power exchanges the edge's endpoints,
+    i.e. moves its tail; it is False for loops and for pointwise-fixed edges.
     """
-    gen_v, gen_e = subgroup_generator(a, h)
-    out = set()
-    for e in g.edges:
-        if gen_e[e.id] == e.id:
-            flipped = not e.is_loop and gen_v[e.tail] == e.head
-            out.add((e.id, flipped))
-    return out
+    _check_codegree(a, d)
+    return {
+        (e.id, not e.is_loop and d % a.vertex_orbit[e.tail] != 0)
+        for e in g.edges
+        if d % a.edge_orbit[e.id] == 0
+    }
 
 
 def lift_voltage_graph(

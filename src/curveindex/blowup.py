@@ -6,7 +6,8 @@ subdivision.  The acting subgroup follows along: a chain maps onto the image
 edge's chain, position-preserving when the edge image keeps its stored
 orientation and position-reversing otherwise.  The curve then has a rational
 point iff the subdivided graph has a fixed vertex, which is the whole
-oracle.  It shares no logic with the closed-form classifier in
+oracle.  Beyond :func:`~curveindex.action.map_power`, which is tested on its
+own, it shares no logic with the closed-form classifier in
 :mod:`curveindex.invariants`, so agreement between the two is evidence.
 """
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import multigraph
+from .action import cycles
 from .blowup import base_change, oracle_splits
 from .constructions import check_realizability, construct
 from .invariants import (
@@ -47,17 +48,9 @@ def _parse_q(text: str) -> int | float:
 
 
 def _orbit_attrs(m) -> dict[str, dict[str, str]]:
-    orbit_of: dict[str, int] = {}
-    nxt = 0
     gen = m.action.vertex_map
-    for v in m.graph.vertices:
-        if v in orbit_of:
-            continue
-        w = v
-        while w not in orbit_of:
-            orbit_of[w] = nxt
-            w = gen[w]
-        nxt += 1
+    orbits = cycles({v: gen[v] for v in m.graph.vertices})
+    orbit_of = {v: i for i, orbit in enumerate(orbits) for v in orbit}
     return {
         v: {
             "style": "filled",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .action import CyclicAction, Subgroup, map_power, vertex_orbit_sizes
+from .action import CyclicAction, map_power
 from .multigraph import MultiGraph, degree, is_connected
 
 
@@ -254,7 +254,7 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
     if q == math.inf:
         checks.append(RealizabilityCheck("point-supply", True, "infinite residue field"))
     else:
-        orbit = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+        orbit = m.action.vertex_orbit
         if mode == "full":
             bad = sorted(v for v in m.graph.vertices if degree(m.graph, v) > q ** orbit[v])
             checks.append(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
-from .action import Subgroup, fixed_vertices, stabilized_edges, vertex_orbit_sizes
+from .action import fixed_vertices, stabilized_edges
 from .constructions import CurveModel
 
 
@@ -69,7 +69,7 @@ def index(m: CurveModel) -> int:
     This is the index of the curve the model describes: the unramified
     splitting degrees are exactly the multiples of the per-component terms.
     """
-    orbit = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+    orbit = m.action.vertex_orbit
     return reduce(math.gcd, (orbit[v] * m.component(v).ns_index for v in m.graph.vertices))
 
 
@@ -79,7 +79,7 @@ def snc_index(m: CurveModel) -> int:
     Extends :func:`index` to models whose components carry multiplicities;
     with unit multiplicities the two agree.
     """
-    orbit = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+    orbit = m.action.vertex_orbit
     return reduce(
         math.gcd,
         (
@@ -97,17 +97,15 @@ def splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """
     if m.action.order % x.d != 0:
         raise ValueError(f"d = {x.d} does not divide the acting order {m.action.order}")
-    h = Subgroup(x.d)
-    if fixed_vertices(m.graph, m.action, h):
+    if fixed_vertices(m.graph, m.action, x.d):
         return True
-    return x.e % 2 == 0 and bool(stabilized_edges(m.graph, m.action, h))
+    return x.e % 2 == 0 and bool(stabilized_edges(m.graph, m.action, x.d))
 
 
 def case_classification(m: CurveModel) -> Case:
     """Case 2 iff some subgroup stabilizes an edge yet fixes no vertex."""
     for d in divisors(m.action.order):
-        h = Subgroup(d)
-        if not fixed_vertices(m.graph, m.action, h) and stabilized_edges(m.graph, m.action, h):
+        if not fixed_vertices(m.graph, m.action, d) and stabilized_edges(m.graph, m.action, d):
             return Case.CASE2
     return Case.CASE1
 
@@ -136,13 +134,11 @@ def m_invariant(m: CurveModel) -> int:
     Over a finite residue field a residue extension of degree ``f`` meets
     the distinguished cyclic extension in degree ``gcd(f, I)``, so the
     minimum of ``f * e`` over splitting pairs is computable from the graph.
+    The least ``f`` with ``gcd(f, I) = d`` is ``d`` itself, so the minimum
+    runs over the divisors of ``I``.
     """
-    order = m.action.order
     return min(
-        f * e
-        for f in range(1, order + 1)
-        for e in (1, 2)
-        if splits(m, ExtensionSpec(math.gcd(f, order), e))
+        d * e for d in divisors(m.action.order) for e in (1, 2) if splits(m, ExtensionSpec(d, e))
     )
 
 

@@ -270,17 +270,22 @@ def from_json_obj(obj: dict) -> MultiGraph:
     return MultiGraph.build(vertices, edges)
 
 
+def _quoted(text: str) -> str:
+    """A DOT double-quoted string: backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: MultiGraph, vertex_attrs: Mapping[str, Mapping[str, str]] | None = None, name: str = "G") -> str:
     """Render as undirected DOT, labelling edges by their identifiers."""
     lines = [f"graph {name} {{"]
     for v in g.vertices:
         attrs = dict(vertex_attrs.get(v, {})) if vertex_attrs else {}
         if attrs:
-            inner = ", ".join(f'{k}="{val}"' for k, val in attrs.items())
-            lines.append(f'  "{v}" [{inner}];')
+            inner = ", ".join(f"{k}={_quoted(val)}" for k, val in attrs.items())
+            lines.append(f"  {_quoted(v)} [{inner}];")
         else:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_quoted(v)};")
     for e in g.edges:
-        lines.append(f'  "{e.tail}" -- "{e.head}" [label="{e.id}"];')
+        lines.append(f"  {_quoted(e.tail)} -- {_quoted(e.head)} [label={_quoted(e.id)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

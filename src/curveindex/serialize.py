@@ -31,6 +31,11 @@ class ModelFormatError(ValueError):
     """A model document that does not parse or validate."""
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as ``bool``, a subclass of ``int``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def action_to_obj(a: CyclicAction) -> dict:
     return {"order": a.order, "vertex_map": dict(a.vertex_map), "edge_map": dict(a.edge_map)}
 
@@ -39,7 +44,7 @@ def action_from_obj(obj: dict) -> CyclicAction:
     if not isinstance(obj, dict):
         raise ModelFormatError("action must be a JSON object")
     order = obj.get("order")
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ModelFormatError(f"action.order must be a positive integer, got {order!r}")
     maps = {}
     for key in ("vertex_map", "edge_map"):
@@ -96,7 +101,7 @@ def model_from_obj(obj: dict) -> CurveModel:
             raise ModelFormatError(f"components[{v!r}] must be an object")
         ns = entry.get("ns_index", 1)
         mult = entry.get("multiplicity", 1)
-        if not isinstance(ns, int) or not isinstance(mult, int):
+        if not _is_int(ns) or not _is_int(mult):
             raise ModelFormatError(f"components[{v!r}]: ns_index/multiplicity must be integers")
         try:
             components[v] = Component(ns, mult)
@@ -108,8 +113,8 @@ def model_from_obj(obj: dict) -> CurveModel:
         raw_claim = obj["claimed"]
         if (
             not isinstance(raw_claim, dict)
-            or not isinstance(raw_claim.get("genus"), int)
-            or not isinstance(raw_claim.get("index"), int)
+            or not _is_int(raw_claim.get("genus"))
+            or not _is_int(raw_claim.get("index"))
             or raw_claim["genus"] < 0
             or raw_claim["index"] < 1
         ):

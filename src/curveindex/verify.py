@@ -25,17 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .action import map_power, validate
+from .action import validate
 from .blowup import oracle_splits
 from .constructions import CurveModel, check_realizability, construct
 from .invariants import (
     Case,
     ExtensionSpec,
-    case_classification,
     divisors,
-    index,
     main_theorem_prediction,
     splits,
+    splitting_report,
 )
 from .multigraph import arithmetic_genus, euler_characteristic, is_connected
 
@@ -50,16 +49,6 @@ def admissible_orders(genus: int, genus_one_cap: int) -> list[int]:
     if genus == 1:
         return list(range(1, genus_one_cap + 1))
     return divisors(abs(2 * genus - 2))
-
-
-def exact_order(m: CurveModel) -> int:
-    """Smallest k >= 1 with the k-th iterate of both maps equal to the identity."""
-    for k in divisors(m.action.order):
-        if all(w == v for v, w in map_power(m.action.vertex_map, k).items()) and all(
-            f == e for e, f in map_power(m.action.edge_map, k).items()
-        ):
-            return k
-    return m.action.order
 
 
 @dataclass(frozen=True)
@@ -137,11 +126,8 @@ def check_model(
     if claimed_genus is not None and genus_computed != claimed_genus:
         failures.append(f"genus: computed {genus_computed}, claimed {claimed_genus}")
 
-    index_value = index(m)
-    case_value = case_classification(m)
-    classifier_table = {
-        (d, e): splits(m, ExtensionSpec(d, e)) for d in divisors(order) for e in (1, 2)
-    }
+    classifier = splitting_report(m)
+    index_value, case_value, classifier_table = classifier.index, classifier.case, classifier.table
     oracle_table = {
         (d, e): oracle_splits(m, ExtensionSpec(d, e))
         for d in divisors(order)
@@ -150,13 +136,13 @@ def check_model(
 
     index_ok = case_ok = prediction_ok = None
     if claimed_index is not None:
-        index_ok = index_value == claimed_index == order and exact_order(m) == order
+        index_ok = index_value == claimed_index == order and m.action.exact_order == order
         if claimed_index != order:
             failures.append(f"claimed index {claimed_index} differs from acting order {order}")
         if index_value != claimed_index:
             failures.append(f"index: computed {index_value}, claimed {claimed_index}")
-        if exact_order(m) != order:
-            failures.append(f"action order: exact {exact_order(m)}, declared {order}")
+        if m.action.exact_order != order:
+            failures.append(f"action order: exact {m.action.exact_order}, declared {order}")
         want_case = expected_case(claimed_genus, order)
         case_ok = case_value is want_case
         if not case_ok:

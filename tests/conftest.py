@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curveindex.action import CyclicAction, lift_voltage_graph, map_power
+from curveindex.action import CyclicAction, cycles, lift_voltage_graph, map_power
 from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.multigraph import MultiGraph, is_connected
 from curveindex.verify import admissible_orders
@@ -81,6 +81,11 @@ def handcrafted_models():
         flipped_path_model(),
         corrupted_two_cycle_model(),
     ]
+
+
+def orbit_sizes(action, d=1):
+    """Vertex orbit sizes under the subgroup generated by the ``d``-th power of the generator."""
+    return {v: len(c) for c in cycles(map_power(action.vertex_map, d)) for v in c}
 
 
 def acts_freely_on_vertices(graph, action):

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import corrupted_two_cycle_model
 from curveindex.cli import main
@@ -134,3 +140,34 @@ def test_unparseable_model_is_input_error(tmp_path, capsys):
     path.write_text('{"graph": {"vertices": [], "edges": []}}', encoding="utf-8")
     code, _, err = run(capsys, "verify", "--model", str(path))
     assert code == 2 and "error" in err
+
+
+HUGE_ORDER = 2 * 10**7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "{m}"],
+        ["splitting", "{m}", "--m-invariant"],
+        ["verify", "--model", "{m}"],
+        ["check", "{m}", "--residue-q", "2"],
+    ],
+    ids=["index", "splitting", "verify", "check"],
+)
+def test_huge_declared_order_finishes(tmp_path, argv):
+    # One vertex with a loop, both fixed, declared at order 2 * 10**7: every
+    # cycle length is 1, so no command may cost time in proportion to the order.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "graph": {"vertices": [{"id": "a"}], "edges": [{"id": "l", "ends": ["a", "a"]}]},
+        "action": {"order": HUGE_ORDER, "vertex_map": {"a": "a"}, "edge_map": {"l": "l"}},
+    }), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "curveindex.cli"] + [a.format(m=path) for a in argv]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv[0]} did not finish within 10 s at order {HUGE_ORDER}")
+    assert proc.returncode == 0, proc.stderr

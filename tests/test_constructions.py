@@ -7,9 +7,10 @@ from conftest import (
     acts_freely_on_edges,
     acts_freely_on_vertices,
     admissible_cells,
+    orbit_sizes,
     random_generating_set,
 )
-from curveindex.action import Subgroup, validate, vertex_orbit_sizes
+from curveindex.action import validate
 from curveindex.constructions import (
     GeneratingSet,
     cayley_graph,
@@ -26,7 +27,6 @@ from curveindex.multigraph import (
     euler_characteristic,
     is_connected,
 )
-from curveindex.verify import exact_order
 
 
 # generating sets
@@ -181,8 +181,8 @@ def test_construct_7_3():
     m = construct(7, 3)
     assert len(m.graph.vertices) == 12
     assert m.action.vertex_map["0"] == "4"  # rotation by (2g-2)/I = 4
-    assert exact_order(m) == 3
-    sizes = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+    assert m.action.exact_order == 3
+    sizes = orbit_sizes(m.action, 1)
     assert set(sizes.values()) == {3}
 
 
@@ -196,7 +196,7 @@ def test_construct_3_4_is_k4_with_rotation():
     assert len(m.graph.vertices) == 4 and len(m.graph.edges) == 6
     ladder, _ = mobius_ladder(3)
     assert m.graph == ladder
-    assert exact_order(m) == 4
+    assert m.action.exact_order == 4
 
 
 def test_construct_rejects_inadmissible_pair():
@@ -217,11 +217,11 @@ def test_construct_grid_properties():
         assert is_connected(m.graph)
         assert max(m.graph.degrees.values()) <= 3
         assert arithmetic_genus(m.graph) == g
-        assert exact_order(m) == i
+        assert m.action.exact_order == i
         assert m.claimed == (g, i)
         assert all(c.ns_index == 1 and c.multiplicity == 1 for c in m.components.values())
         if i > 1:
-            sizes = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+            sizes = orbit_sizes(m.action, 1)
             assert set(sizes.values()) == {i}
 
 

@@ -3,8 +3,8 @@ from functools import reduce
 
 import pytest
 
-from conftest import flipped_path_model, single_edge_swap_model
-from curveindex.action import CyclicAction, Subgroup, vertex_orbit_sizes
+from conftest import flipped_path_model, orbit_sizes, single_edge_swap_model
+from curveindex.action import CyclicAction
 from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import (
     Case,
@@ -57,7 +57,7 @@ def test_index_trivial_action():
 
 def test_index_construct_7_3():
     m = construct(7, 3)
-    sizes = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+    sizes = orbit_sizes(m.action, 1)
     assert sorted(sizes.values()) == [3] * 12
     assert index(m) == 3
 
@@ -70,7 +70,7 @@ def test_index_weights_by_ns_index():
 
 def test_index_divides_each_vertex_term(model_pool):
     for m in model_pool:
-        sizes = vertex_orbit_sizes(m.graph, m.action, Subgroup(1))
+        sizes = orbit_sizes(m.action, 1)
         value = index(m)
         for v in m.graph.vertices:
             assert (sizes[v] * m.component(v).ns_index) % value == 0
@@ -82,7 +82,7 @@ def test_index_divides_subfield_degree_times_subindex(model_pool):
     for m in model_pool:
         value = index(m)
         for d in divisors(m.action.order):
-            sizes = vertex_orbit_sizes(m.graph, m.action, Subgroup(d))
+            sizes = orbit_sizes(m.action, d)
             sub_value = reduce(
                 math.gcd, (sizes[v] * m.component(v).ns_index for v in m.graph.vertices)
             )

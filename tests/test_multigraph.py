@@ -295,3 +295,15 @@ def test_dot_contains_edge_labels():
     dot = to_dot(graph)
     assert dot.startswith("graph G {")
     assert 'label="r0"' in dot and '"0" -- "1"' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    graph = MultiGraph.build(['a"b', "c\\"], [('e"1', 'a"b', "c\\")])
+    dot = to_dot(graph, {'a"b': {"label": 'say "hi"\\'}})
+    assert dot == (
+        "graph G {\n"
+        '  "a\\"b" [label="say \\"hi\\"\\\\"];\n'
+        '  "c\\\\";\n'
+        '  "a\\"b" -- "c\\\\" [label="e\\"1"];\n'
+        "}\n"
+    )

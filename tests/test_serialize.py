@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import corrupted_two_cycle_model
+from curveindex.cli import main
 from curveindex.constructions import Component, construct
 from curveindex.serialize import (
     ModelFormatError,
@@ -103,3 +104,30 @@ def test_dumps_is_stable_json():
 
 def load_model_from_text(text):
     return model_from_obj(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("action.order", True),
+        ("action.order", False),
+        ("components.0.ns_index", True),
+        ("components.0.multiplicity", True),
+        ("claimed.genus", False),
+        ("claimed.index", True),
+    ],
+)
+def test_rejects_json_booleans(tmp_path, capsys, field, value):
+    # construct(0, 1) is one vertex "0" at order 1, so each boolean would load as a valid 0 or 1.
+    obj = model_to_obj(construct(0, 1))
+    *parents, key = field.split(".")
+    target = obj
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    with pytest.raises(ModelFormatError):
+        model_from_obj(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["index", str(path)]) == 2
+    assert "error" in capsys.readouterr().err

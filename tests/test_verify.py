@@ -8,7 +8,6 @@ from curveindex.invariants import Case
 from curveindex.verify import (
     admissible_orders,
     check_model,
-    exact_order,
     expected_case,
     render_report,
     report_to_obj,
@@ -33,9 +32,9 @@ def test_admissible_orders():
 
 
 def test_exact_order():
-    assert exact_order(construct(7, 3)) == 3
-    assert exact_order(construct(5, 1)) == 1
-    assert exact_order(single_edge_swap_model()) == 2
+    assert construct(7, 3).action.exact_order == 3
+    assert construct(5, 1).action.exact_order == 1
+    assert single_edge_swap_model().action.exact_order == 2
 
 
 def test_check_model_flags_on_good_cell():
