@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import multigraph
 from .action import cycles
-from .blowup import base_change, oracle_splits
+from .blowup import base_change, has_fixed_vertex
 from .constructions import check_realizability, construct
 from .invariants import (
     Case,
@@ -42,9 +42,12 @@ def _parse_q(text: str) -> int | float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
     try:
-        return int(text)
+        q = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"residue cardinality must be an integer or 'inf', got {text!r}")
+    if q < 2:
+        raise argparse.ArgumentTypeError(f"residue cardinality must be at least 2, got {q}")
+    return q
 
 
 def _orbit_attrs(m) -> dict[str, dict[str, str]]:
@@ -92,12 +95,16 @@ def cmd_verify(args) -> int:
         cell = check_model(model, e_max=args.e_max, residue_cardinalities=qs)
         report = VerificationReport((cell,), args.e_max, qs)
     else:
-        report = run_verification(
-            genus_max=args.genus_max,
-            e_max=args.e_max,
-            residue_cardinalities=qs,
-            genus_one_cap=args.genus_one_cap,
-        )
+        try:
+            report = run_verification(
+                genus_max=args.genus_max,
+                e_max=args.e_max,
+                residue_cardinalities=qs,
+                genus_one_cap=args.genus_one_cap,
+            )
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     payload = json.dumps(report_to_obj(report), indent=2) + "\n" if args.json else render_report(report)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -165,12 +172,11 @@ def cmd_oracle(args) -> int:
     if model is None:
         return 2
     try:
-        spec = ExtensionSpec(args.d, args.e)
-        blown = base_change(model, spec)
-        verdict = oracle_splits(model, spec)
+        blown = base_change(model, ExtensionSpec(args.d, args.e))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    verdict = has_fixed_vertex(blown.action.vertex_map)
     if args.emit_dot:
         Path(args.emit_dot).write_text(multigraph.to_dot(blown.graph, name="blowup"), encoding="utf-8")
     summary = {

@@ -127,13 +127,32 @@ def degree(g: MultiGraph, v: str) -> int:
         raise GraphError(f"unknown vertex {v!r}") from None
 
 
+def chain_separator(g: MultiGraph, e: int) -> str:
+    """Separator of the chain vertex names ``<edge id><sep><position>`` of an ``e``-fold subdivision.
+
+    It is ``":"`` unless that makes some chain vertex name equal a vertex
+    of ``g``; then it is the shortest run of colons under which none does.
+    A chain vertex name splits back into edge id and position at its last
+    separator, so chain vertices never collide with each other either.
+    """
+    positions = {str(p) for p in range(1, e)}
+    sep = ":"
+    while any(
+        p in positions and edge in g.edge_by_id
+        for edge, _, p in (v.rpartition(sep) for v in g.vertices if sep in v)
+    ):
+        sep += ":"
+    return sep
+
+
 def subdivide(g: MultiGraph, e: int) -> MultiGraph:
     """Replace every edge by a path of ``e`` edges through fresh vertices.
 
-    Internal vertices are named ``<edge id>:<position>`` with positions
-    1..e-1 counted from the tail, and the segments ``<edge id>#<k>`` for
-    k in 0..e-1, so the expansion is reproducible.  ``e == 1`` returns the
-    graph unchanged.
+    Internal vertices are named ``<edge id><sep><position>`` with positions
+    1..e-1 counted from the tail and ``sep`` from :func:`chain_separator`
+    (``":"`` whenever that names no existing vertex), and the segments
+    ``<edge id>#<k>`` for k in 0..e-1, so the expansion is reproducible.
+    ``e == 1`` returns the graph unchanged.
     """
     return subdivide_with_provenance(g, e)[0]
 
@@ -144,13 +163,14 @@ def subdivide_with_provenance(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[s
         raise GraphError(f"subdivision factor must be >= 1, got {e}")
     if e == 1:
         return g, {}
+    sep = chain_separator(g, e)
     vertices = list(g.vertices)
     edges: list[tuple[str, str, str]] = []
     provenance: dict[str, tuple[str, int]] = {}
     for ed in g.edges:
         chain = [ed.tail]
         for p in range(1, e):
-            w = f"{ed.id}:{p}"
+            w = f"{ed.id}{sep}{p}"
             vertices.append(w)
             provenance[w] = (ed.id, p)
             chain.append(w)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .action import validate
-from .blowup import oracle_splits
+from .blowup import oracle_table
 from .constructions import CurveModel, check_realizability, construct
 from .invariants import (
     Case,
@@ -128,11 +128,7 @@ def check_model(
 
     classifier = splitting_report(m)
     index_value, case_value, classifier_table = classifier.index, classifier.case, classifier.table
-    oracle_table = {
-        (d, e): oracle_splits(m, ExtensionSpec(d, e))
-        for d in divisors(order)
-        for e in range(1, e_max + 1)
-    }
+    oracle = oracle_table(m, e_max)
 
     index_ok = case_ok = prediction_ok = None
     if claimed_index is not None:
@@ -157,7 +153,7 @@ def check_model(
                 )
 
     oracle_ok = True
-    for (d, e), want in sorted(oracle_table.items()):
+    for (d, e), want in oracle.items():
         got = splits(m, ExtensionSpec(d, e))
         if got != want:
             oracle_ok = False
@@ -176,7 +172,7 @@ def check_model(
         claimed_genus, order, n_vertices, n_edges, euler, genus_computed, max_degree,
         action_valid=True, connected=True,
         index_value=index_value, case_value=case_value,
-        classifier_table=classifier_table, oracle_table=oracle_table,
+        classifier_table=classifier_table, oracle_table=oracle,
         index_ok=index_ok, case_ok=case_ok, prediction_ok=prediction_ok,
         oracle_ok=oracle_ok, realizability=realizability,
         failures=tuple(failures),

@@ -4,7 +4,15 @@ import random
 import pytest
 
 from curveindex.action import CyclicAction, cycles, lift_voltage_graph, map_power
-from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
+from curveindex.constructions import (
+    Component,
+    CurveModel,
+    GeneratingSet,
+    as_model,
+    cayley_graph,
+    construct,
+    cycle_model,
+)
 from curveindex.multigraph import MultiGraph, is_connected
 from curveindex.verify import admissible_orders
 
@@ -74,6 +82,13 @@ def corrupted_two_cycle_model():
     return CurveModel(graph, bad, {v: Component() for v in graph.vertices}, claimed=(1, 2))
 
 
+def chain_name_clash_model():
+    """A swapped edge ``x`` with an endpoint named ``x:1``, the default name of its 2-fold chain vertex."""
+    graph = MultiGraph.build(["x:1", "b"], [("x", "x:1", "b")])
+    action = CyclicAction(2, {"x:1": "b", "b": "x:1"}, {"x": "x"})
+    return as_model(graph, action)
+
+
 def handcrafted_models():
     return [
         single_edge_swap_model(),
@@ -81,6 +96,15 @@ def handcrafted_models():
         flipped_path_model(),
         corrupted_two_cycle_model(),
     ]
+
+
+def circulant_model(order, k, rng):
+    """``Cay(Z/order, {+-s, order/2})`` acted on by translation by ``k``, with a seeded jump ``s``."""
+    half = order // 2
+    s = rng.choice([s for s in range(1, half) if math.gcd(s, half) == 1])
+    graph, action = cayley_graph(GeneratingSet(order, frozenset({s, -s, half})))
+    powered = CyclicAction(order // k, map_power(action.vertex_map, k), map_power(action.edge_map, k))
+    return as_model(graph, powered, claimed=(half + 1, order // k))
 
 
 def orbit_sizes(action, d=1):
@@ -105,8 +129,6 @@ def acts_freely_on_edges(graph, action):
 
 
 def random_generating_set(rng, max_order=24):
-    from curveindex.constructions import GeneratingSet
-
     while True:
         order = rng.randint(2, max_order)
         elements = set()

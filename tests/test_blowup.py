@@ -1,11 +1,20 @@
+import random
+
 import pytest
 
-from conftest import single_edge_swap_model
-from curveindex.action import validate
-from curveindex.blowup import base_change, oracle_splits
+from conftest import chain_name_clash_model, circulant_model, single_edge_swap_model
+from curveindex import blowup
+from curveindex.action import CyclicAction, map_power, validate
+from curveindex.blowup import base_change, oracle_splits, oracle_table
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
-from curveindex.multigraph import are_isomorphic, arithmetic_genus, euler_characteristic
+from curveindex.multigraph import (
+    are_isomorphic,
+    arithmetic_genus,
+    euler_characteristic,
+    subdivide_with_provenance,
+)
+from curveindex.verify import check_model
 
 
 def test_single_edge_quadratic_blowup():
@@ -104,3 +113,74 @@ def test_oracle_verdict_depends_on_parity(model_pool):
             for e in range(3, 7):
                 expected = even if e % 2 == 0 else odd
                 assert oracle_splits(m, ExtensionSpec(d, e)) == expected
+
+
+def naive_base_change(m, x):
+    """Power first, then subdivide and transport the subgroup's generator."""
+    gen_v = map_power(m.action.vertex_map, x.d)
+    gen_e = map_power(m.action.edge_map, x.d)
+    sub_order = m.action.order // x.d
+    if x.e == 1:
+        return m.graph, CyclicAction(sub_order, gen_v, gen_e), {}
+    graph, provenance = subdivide_with_provenance(m.graph, x.e)
+    vmap = {v: gen_v[v] for v in m.graph.vertices}
+    emap = {}
+    for edge in m.graph.edges:
+        image = m.graph.edge_by_id[gen_e[edge.id]]
+        keeps_orientation = gen_v[edge.tail] == image.tail
+        for p in range(1, x.e):
+            q = p if keeps_orientation else x.e - p
+            vmap[f"{edge.id}:{p}"] = f"{image.id}:{q}"
+        for s in range(x.e):
+            t = s if keeps_orientation else x.e - 1 - s
+            emap[f"{edge.id}#{s}"] = f"{image.id}#{t}"
+    return graph, CyclicAction(sub_order, vmap, emap), provenance
+
+
+def test_base_change_equals_power_then_transport(model_pool):
+    for m in model_pool:
+        for d in divisors(m.action.order):
+            for e in (1, 2, 3):
+                blown = base_change(m, ExtensionSpec(d, e))
+                graph, action, provenance = naive_base_change(m, ExtensionSpec(d, e))
+                assert blown.graph == graph
+                assert blown.action.order == action.order
+                assert list(blown.action.vertex_map.items()) == list(action.vertex_map.items())
+                assert list(blown.action.edge_map.items()) == list(action.edge_map.items())
+                assert blown.provenance == provenance
+
+
+def test_oracle_table_matches_oracle_splits(model_pool):
+    rng = random.Random(5)
+    circulants = [circulant_model(24, 1, rng), circulant_model(30, 2, rng)]
+    for m in list(model_pool) + circulants:
+        table = oracle_table(m, 6)
+        assert table == {
+            (d, e): oracle_splits(m, ExtensionSpec(d, e))
+            for d in divisors(m.action.order)
+            for e in range(1, 7)
+        }
+        assert list(table) == sorted(table)
+
+
+def test_check_model_subdivides_once_per_ramification_depth(monkeypatch):
+    calls = []
+
+    def counting(g, e):
+        calls.append(e)
+        return subdivide_with_provenance(g, e)
+
+    monkeypatch.setattr(blowup, "subdivide_with_provenance", counting)
+    cell = check_model(construct(4, 6), e_max=6)
+    assert cell.passed and len(cell.oracle_table) == 4 * 6
+    assert len(calls) <= 5
+
+
+def test_chain_names_avoid_vertex_ids():
+    m = chain_name_clash_model()
+    blown = base_change(m, ExtensionSpec(1, 2))
+    assert blown.graph.vertices == ("x:1", "b", "x::1")
+    assert blown.provenance == {"x::1": ("x", 1)}
+    assert blown.action.vertex_map == {"x:1": "b", "b": "x:1", "x::1": "x::1"}
+    assert validate(blown.graph, blown.action).ok
+    assert oracle_table(m, 4) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2) for e in range(1, 5)}

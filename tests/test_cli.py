@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corrupted_two_cycle_model
+from conftest import chain_name_clash_model, corrupted_two_cycle_model
 from curveindex.cli import main
 from curveindex.constructions import construct
 from curveindex.serialize import load_model, save_model
@@ -128,6 +128,34 @@ def test_verify_flags_corrupted_model(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--model", str(path))
     assert code == 1
     assert "case" in out or "prediction" in out
+
+
+def test_chain_names_avoid_user_vertex_ids(tmp_path, capsys):
+    path = tmp_path / "clash.json"
+    save_model(chain_name_clash_model(), path)
+    code, out, _ = run(capsys, "verify", "--model", str(path))
+    assert code == 0 and "1/1 cells verified" in out
+    code, out, _ = run(capsys, "oracle", str(path), "--d", "1", "--e", "2")
+    assert code == 0 and "3 vertices" in out and "splits: yes" in out
+
+
+def test_negative_genus_max_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--genus-max", "-1")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{m}", "--residue-q", "1"], ["verify", "--model", "{m}", "--residue-q", "0"]],
+    ids=["check", "verify"],
+)
+def test_residue_cardinality_below_two_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.replace("{m}", str(path)) for a in argv])
+    assert exit_info.value.code == 2
+    assert "at least 2" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):

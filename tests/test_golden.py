@@ -13,7 +13,6 @@ re-record them, run ``PYTHONPATH=src python tests/test_golden.py``.
 import contextlib
 import io
 import json
-import math
 import random
 import tempfile
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    circulant_model,
     corrupted_two_cycle_model,
     flipped_path_model,
     loop_at_fixed_vertex_model,
@@ -31,9 +31,7 @@ from curveindex.cli import main
 from curveindex.constructions import (
     Component,
     CurveModel,
-    GeneratingSet,
     as_model,
-    cayley_graph,
     construct,
     cycle_model,
 )
@@ -44,15 +42,6 @@ from curveindex.serialize import model_to_obj
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CIRCULANT_SEED = 7
 CIRCULANTS = [(12, 1), (12, 2), (14, 2), (18, 3), (20, 4)]  # (I, k): translation by k on Z/I
-
-
-def circulant_model(order, k, rng):
-    """``Cay(Z/order, {+-s, order/2})`` acted on by translation by ``k``, with a seeded jump ``s``."""
-    half = order // 2
-    s = rng.choice([s for s in range(1, half) if math.gcd(s, half) == 1])
-    graph, action = cayley_graph(GeneratingSet(order, frozenset({s, -s, half})))
-    powered = CyclicAction(order // k, map_power(action.vertex_map, k), map_power(action.edge_map, k))
-    return as_model(graph, powered, claimed=(half + 1, order // k))
 
 
 def voltage_lift_model():

@@ -8,6 +8,7 @@ from curveindex.multigraph import (
     MultiGraph,
     are_isomorphic,
     arithmetic_genus,
+    chain_separator,
     degree,
     euler_characteristic,
     from_json_obj,
@@ -197,6 +198,18 @@ def test_subdivide_provenance_positions():
     by_id = s.edge_by_id
     assert (by_id["e#0"].tail, by_id["e#0"].head) == ("a", "e:1")
     assert (by_id["e#3"].tail, by_id["e#3"].head) == ("e:3", "b")
+
+
+def test_chain_names_avoid_existing_vertices():
+    g = MultiGraph.build(["x:1", "x::2", "b"], [("x", "x:1", "b"), ("y", "b", "x::2")])
+    assert chain_separator(g, 2) == "::"
+    assert chain_separator(g, 3) == ":::"
+    s, prov = subdivide_with_provenance(g, 3)
+    assert list(prov) == ["x:::1", "x:::2", "y:::1", "y:::2"]
+    # no clash for the positions in use: the default names stay
+    assert chain_separator(MultiGraph.build(["x:3", "b"], [("x", "x:3", "b")]), 3) == ":"
+    # an edge named like a vertex prefix only clashes when the whole name matches
+    assert chain_separator(MultiGraph.build(["x:1a", "1", "b"], [("x", "x:1a", "b"), ("", "b", "1")]), 2) == ":"
 
 
 def test_subdivide_preserves_euler_and_counts():
