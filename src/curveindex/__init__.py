@@ -47,12 +47,10 @@ from .multigraph import (
     Edge,
     GraphError,
     MultiGraph,
-    are_isomorphic,
     arithmetic_genus,
     degree,
     euler_characteristic,
     is_connected,
-    subdivide,
     subdivide_with_provenance,
 )
 from .serialize import ModelFormatError, dumps_model, load_model, model_from_obj, model_to_obj, save_model

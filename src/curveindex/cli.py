@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success/verified, 1 mathematical disagreement or failed check,
-2 invalid input (unparseable model, inadmissible parameters).
+2 invalid input (unparseable model, inadmissible parameters, unwritable
+output path), which :func:`main` alone maps from ``ValueError`` and ``OSError``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .invariants import (
     splitting_report,
 )
 from .multigraph import euler_characteristic
-from .serialize import ModelFormatError, load_model, save_model, dumps_model
+from .serialize import load_model, save_model, dumps_model
 from .verify import (
     check_model,
     expected_case,
     render_report,
     report_to_obj,
     run_verification,
+    table_obj,
     VerificationReport,
 )
 
@@ -66,11 +68,7 @@ def _orbit_attrs(m) -> dict[str, dict[str, str]]:
 
 
 def cmd_construct(args) -> int:
-    try:
-        model = construct(args.genus, args.index)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    model = construct(args.genus, args.index)
     if args.out:
         save_model(model, args.out)
         print(f"model written to {args.out}", file=sys.stderr)
@@ -87,24 +85,15 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     qs = tuple(args.residue_q) if args.residue_q else (math.inf,)
     if args.model:
-        try:
-            model = load_model(args.model)
-        except ModelFormatError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        cell = check_model(model, e_max=args.e_max, residue_cardinalities=qs)
+        cell = check_model(load_model(args.model), e_max=args.e_max, residue_cardinalities=qs)
         report = VerificationReport((cell,), args.e_max, qs)
     else:
-        try:
-            report = run_verification(
-                genus_max=args.genus_max,
-                e_max=args.e_max,
-                residue_cardinalities=qs,
-                genus_one_cap=args.genus_one_cap,
-            )
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        report = run_verification(
+            genus_max=args.genus_max,
+            e_max=args.e_max,
+            residue_cardinalities=qs,
+            genus_one_cap=args.genus_one_cap,
+        )
     payload = json.dumps(report_to_obj(report), indent=2) + "\n" if args.json else render_report(report)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -113,33 +102,21 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _load_or_exit(path: str):
-    try:
-        return load_model(path)
-    except ModelFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
-
-
 def cmd_index(args) -> int:
-    model = _load_or_exit(args.model)
-    if model is None:
-        return 2
+    model = load_model(args.model)
     value = index(model)
     print(json.dumps({"index": value}) if args.json else value)
     return 0
 
 
 def cmd_splitting(args) -> int:
-    model = _load_or_exit(args.model)
-    if model is None:
-        return 2
+    model = load_model(args.model)
     report = splitting_report(model, include_m_invariant=args.m_invariant)
     if args.json:
         obj = {
             "index": report.index,
             "case": report.case.value,
-            "table": [{"d": d, "e": e, "splits": v} for (d, e), v in sorted(report.table.items())],
+            "table": table_obj(report.table),
         }
         if report.m_invariant is not None:
             obj["m_invariant"] = report.m_invariant
@@ -158,24 +135,14 @@ def cmd_splitting(args) -> int:
 
 def cmd_mtheorem(args) -> int:
     case = Case(args.case) if args.case else expected_case(args.genus, args.index)
-    try:
-        verdict = main_theorem_prediction(args.genus, args.index, ExtensionSpec(args.d, args.e), case)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    verdict = main_theorem_prediction(args.genus, args.index, ExtensionSpec(args.d, args.e), case)
     print(json.dumps({"splits": verdict, "case": case.value}) if args.json else ("yes" if verdict else "no"))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    model = _load_or_exit(args.model)
-    if model is None:
-        return 2
-    try:
-        blown = base_change(model, ExtensionSpec(args.d, args.e))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    model = load_model(args.model)
+    blown = base_change(model, ExtensionSpec(args.d, args.e))
     verdict = has_fixed_vertex(blown.action.vertex_map)
     if args.emit_dot:
         Path(args.emit_dot).write_text(multigraph.to_dot(blown.graph, name="blowup"), encoding="utf-8")
@@ -199,9 +166,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = _load_or_exit(args.model)
-    if model is None:
-        return 2
+    model = load_model(args.model)
     report = check_realizability(model, args.residue_q, args.mode)
     if args.json:
         obj = {
@@ -286,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

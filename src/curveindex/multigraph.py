@@ -145,20 +145,16 @@ def chain_separator(g: MultiGraph, e: int) -> str:
     return sep
 
 
-def subdivide(g: MultiGraph, e: int) -> MultiGraph:
+def subdivide_with_provenance(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[str, tuple[str, int]]]:
     """Replace every edge by a path of ``e`` edges through fresh vertices.
 
     Internal vertices are named ``<edge id><sep><position>`` with positions
     1..e-1 counted from the tail and ``sep`` from :func:`chain_separator`
     (``":"`` whenever that names no existing vertex), and the segments
     ``<edge id>#<k>`` for k in 0..e-1, so the expansion is reproducible.
-    ``e == 1`` returns the graph unchanged.
+    Also returns ``new vertex -> (parent edge, position)``.  ``e == 1``
+    returns the graph unchanged and an empty provenance.
     """
-    return subdivide_with_provenance(g, e)[0]
-
-
-def subdivide_with_provenance(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[str, tuple[str, int]]]:
-    """Like :func:`subdivide`, also returning ``new vertex -> (parent edge, position)``."""
     if e < 1:
         raise GraphError(f"subdivision factor must be >= 1, got {e}")
     if e == 1:
@@ -180,81 +176,6 @@ def subdivide_with_provenance(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[s
     return MultiGraph.build(vertices, edges), provenance
 
 
-def _pair_counts(g: MultiGraph) -> tuple[dict[frozenset[str], int], dict[str, int]]:
-    pairs: dict[frozenset[str], int] = Counter()
-    loops: dict[str, int] = Counter()
-    for e in g.edges:
-        if e.is_loop:
-            loops[e.tail] += 1
-        else:
-            pairs[e.ends] += 1
-    return pairs, loops
-
-
-def are_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
-    """Decide multigraph isomorphism by pruned backtracking.
-
-    A vertex bijection is an isomorphism iff it preserves the edge
-    multiplicity of every vertex pair and the loop count of every vertex;
-    the matching bijection on edge identifiers then exists automatically.
-    Meant for small graphs (tens of vertices).
-    """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    pairs1, loops1 = _pair_counts(g1)
-    pairs2, loops2 = _pair_counts(g2)
-
-    def signature(g: MultiGraph, pairs, loops):
-        sig = {}
-        for v in g.vertices:
-            nbr = sorted(
-                (k, g.degrees[u])
-                for key, k in pairs.items()
-                if v in key
-                for u in key
-                if u != v
-            )
-            sig[v] = (g.degrees[v], loops.get(v, 0), tuple(nbr))
-        return sig
-
-    sig1 = signature(g1, pairs1, loops1)
-    sig2 = signature(g2, pairs2, loops2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    pool: dict[tuple, list[str]] = {}
-    for w in g2.vertices:
-        pool.setdefault(sig2[w], []).append(w)
-    order = sorted(g1.vertices, key=lambda v: len(pool[sig1[v]]))
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def mult(pairs, loops, u, v) -> int:
-        if u == v:
-            return loops.get(u, 0)
-        return pairs.get(frozenset((u, v)), 0)
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in pool[sig1[v]]:
-            if w in used:
-                continue
-            if any(mult(pairs1, loops1, v, u) != mult(pairs2, loops2, w, mapping[u]) for u in mapping):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return extend(0)
-
-
 def to_json_obj(g: MultiGraph) -> dict:
     return {
         "vertices": [{"id": v} for v in g.vertices],
@@ -270,6 +191,8 @@ def from_json_obj(obj: dict) -> MultiGraph:
         raw_edges = obj["edges"]
     except KeyError as missing:
         raise GraphError(f"graph object lacks key {missing}") from None
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphError("graph.vertices and graph.edges must be lists")
     vertices = []
     for i, item in enumerate(raw_vertices):
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):

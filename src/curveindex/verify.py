@@ -23,7 +23,7 @@ nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .action import validate
 from .blowup import oracle_table
@@ -51,19 +51,21 @@ def admissible_orders(genus: int, genus_one_cap: int) -> list[int]:
     return divisors(abs(2 * genus - 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CellReport:
+    """One cell's checks; the fields, in order, are the keys of its ``--json`` object."""
+
     genus: int | None  # claimed genus, if any
     order: int  # acting order
-    n_vertices: int
-    n_edges: int
+    vertices: int
+    edges: int
     euler: int
-    genus_computed: int | None  # None when disconnected
+    genus_computed: int | None = None  # None when disconnected
     max_degree: int
     action_valid: bool
     connected: bool
-    index_value: int | None
-    case_value: Case | None
+    index: int | None = None
+    case: Case | None = None
     classifier_table: dict[tuple[int, int], bool] = field(default_factory=dict)
     oracle_table: dict[tuple[int, int], bool] = field(default_factory=dict)
     index_ok: bool | None = None  # None: nothing claimed to compare against
@@ -93,33 +95,24 @@ def check_model(
     m: CurveModel, e_max: int = 6, residue_cardinalities: tuple[int | float, ...] = (math.inf,)
 ) -> CellReport:
     """Run one cell's worth of checks against a model."""
-    failures: list[str] = []
     order = m.action.order
-    claimed_genus = m.claimed[0] if m.claimed else None
-    claimed_index = m.claimed[1] if m.claimed else None
-    n_vertices = len(m.graph.vertices)
-    n_edges = len(m.graph.edges)
-    euler = euler_characteristic(m.graph)
+    claimed_genus, claimed_index = m.claimed or (None, None)
     max_degree = max(m.graph.degrees.values())
+    shape = dict(
+        genus=claimed_genus, order=order, vertices=len(m.graph.vertices), edges=len(m.graph.edges),
+        euler=euler_characteristic(m.graph), max_degree=max_degree,
+    )
 
     report = validate(m.graph, m.action)
-    if not report.ok:
-        for v in report.violations[:8]:
-            failures.append(f"action invalid: {v.law}[{v.subject}] {v.detail}")
-        return CellReport(
-            claimed_genus, order, n_vertices, n_edges, euler, None, max_degree,
-            action_valid=False, connected=is_connected(m.graph),
-            index_value=None, case_value=None, failures=tuple(failures),
-        )
     connected = is_connected(m.graph)
-    if not connected:
-        failures.append("graph is not connected")
+    if not (report.ok and connected):
+        violations = [f"action invalid: {v.law}[{v.subject}] {v.detail}" for v in report.violations[:8]]
         return CellReport(
-            claimed_genus, order, n_vertices, n_edges, euler, None, max_degree,
-            action_valid=True, connected=False,
-            index_value=None, case_value=None, failures=tuple(failures),
+            **shape, action_valid=report.ok, connected=connected,
+            failures=tuple(violations or ["graph is not connected"]),
         )
 
+    failures: list[str] = []
     if max_degree > 3:
         failures.append(f"maximum degree {max_degree} exceeds 3")
     genus_computed = arithmetic_genus(m.graph)
@@ -127,30 +120,33 @@ def check_model(
         failures.append(f"genus: computed {genus_computed}, claimed {claimed_genus}")
 
     classifier = splitting_report(m)
-    index_value, case_value, classifier_table = classifier.index, classifier.case, classifier.table
     oracle = oracle_table(m, e_max)
 
     index_ok = case_ok = prediction_ok = None
     if claimed_index is not None:
-        index_ok = index_value == claimed_index == order and m.action.exact_order == order
+        index_ok = classifier.index == claimed_index == order and m.action.exact_order == order
         if claimed_index != order:
             failures.append(f"claimed index {claimed_index} differs from acting order {order}")
-        if index_value != claimed_index:
-            failures.append(f"index: computed {index_value}, claimed {claimed_index}")
+        if classifier.index != claimed_index:
+            failures.append(f"index: computed {classifier.index}, claimed {claimed_index}")
         if m.action.exact_order != order:
             failures.append(f"action order: exact {m.action.exact_order}, declared {order}")
         want_case = expected_case(claimed_genus, order)
-        case_ok = case_value is want_case
+        case_ok = classifier.case is want_case
         if not case_ok:
-            failures.append(f"case: computed {case_value.value}, expected {want_case.value}")
+            failures.append(f"case: computed {classifier.case.value}, expected {want_case.value}")
         prediction_ok = True
-        for (d, e), got in sorted(classifier_table.items()):
-            want = main_theorem_prediction(claimed_genus, order, ExtensionSpec(d, e), want_case)
-            if got != want:
-                prediction_ok = False
-                failures.append(
-                    f"prediction mismatch at (d={d}, e={e}): classifier={got}, predicted={want}"
-                )
+        try:
+            for (d, e), got in sorted(classifier.table.items()):
+                want = main_theorem_prediction(claimed_genus, order, ExtensionSpec(d, e), want_case)
+                if got != want:
+                    prediction_ok = False
+                    failures.append(
+                        f"prediction mismatch at (d={d}, e={e}): classifier={got}, predicted={want}"
+                    )
+        except ValueError as err:  # the claim admits no prediction, e.g. I does not divide 2g - 2
+            prediction_ok = False
+            failures.append(f"prediction: {err}")
 
     oracle_ok = True
     for (d, e), want in oracle.items():
@@ -169,10 +165,8 @@ def check_model(
             failures.append(f"realizability(q={q}, {mode}) failed: {bad}")
 
     return CellReport(
-        claimed_genus, order, n_vertices, n_edges, euler, genus_computed, max_degree,
-        action_valid=True, connected=True,
-        index_value=index_value, case_value=case_value,
-        classifier_table=classifier_table, oracle_table=oracle,
+        **shape, genus_computed=genus_computed, action_valid=True, connected=True,
+        index=classifier.index, case=classifier.case, classifier_table=classifier.table, oracle_table=oracle,
         index_ok=index_ok, case_ok=case_ok, prediction_ok=prediction_ok,
         oracle_ok=oracle_ok, realizability=realizability,
         failures=tuple(failures),
@@ -200,11 +194,11 @@ def run_verification(
 
 def render_cell(c: CellReport) -> str:
     genus = "?" if c.genus is None else c.genus
-    case = "?" if c.case_value is None else c.case_value.value
-    idx = "?" if c.index_value is None else c.index_value
+    case = "?" if c.case is None else c.case.value
+    idx = "?" if c.index is None else c.index
     status = "ok" if c.passed else "FAIL"
     return (
-        f"g={genus:>2} I={c.order:>2} | V={c.n_vertices:>3} E={c.n_edges:>3} "
+        f"g={genus:>2} I={c.order:>2} | V={c.vertices:>3} E={c.edges:>3} "
         f"chi={c.euler:>4} maxdeg={c.max_degree} | index={idx:>2} {case:<5} | {status}"
     )
 
@@ -219,40 +213,32 @@ def render_report(r: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_obj(table: dict[tuple[int, int], bool]) -> list[dict]:
+def table_obj(table: dict[tuple[int, int], bool]) -> list[dict]:
+    """A ``(d, e)`` splitting table as JSON rows, sorted by ``(d, e)``."""
     return [{"d": d, "e": e, "splits": v} for (d, e), v in sorted(table.items())]
 
 
+def _q_obj(q: int | float) -> int | str:
+    """A residue cardinality in JSON: the infinite one is the string ``"inf"``."""
+    return "inf" if q == math.inf else q
+
+
 def report_to_obj(r: VerificationReport) -> dict:
+    cells = []
+    for c in r.cells:
+        cell = {f.name: getattr(c, f.name) for f in fields(c)}
+        cell.update(
+            case=c.case.value if c.case else None,
+            classifier_table=table_obj(c.classifier_table),
+            oracle_table=table_obj(c.oracle_table),
+            realizability={str(_q_obj(q)): v for q, v in c.realizability.items()},
+            failures=list(c.failures),
+            passed=c.passed,
+        )
+        cells.append(cell)
     return {
         "passed": r.passed,
         "e_max": r.e_max,
-        "residue_cardinalities": [q if q != math.inf else "inf" for q in r.residue_cardinalities],
-        "cells": [
-            {
-                "genus": c.genus,
-                "order": c.order,
-                "vertices": c.n_vertices,
-                "edges": c.n_edges,
-                "euler": c.euler,
-                "genus_computed": c.genus_computed,
-                "max_degree": c.max_degree,
-                "action_valid": c.action_valid,
-                "connected": c.connected,
-                "index": c.index_value,
-                "case": c.case_value.value if c.case_value else None,
-                "classifier_table": _table_obj(c.classifier_table),
-                "oracle_table": _table_obj(c.oracle_table),
-                "index_ok": c.index_ok,
-                "case_ok": c.case_ok,
-                "prediction_ok": c.prediction_ok,
-                "oracle_ok": c.oracle_ok,
-                "realizability": {
-                    ("inf" if q == math.inf else str(q)): v for q, v in c.realizability.items()
-                },
-                "failures": list(c.failures),
-                "passed": c.passed,
-            }
-            for c in r.cells
-        ],
+        "residue_cardinalities": [_q_obj(q) for q in r.residue_cardinalities],
+        "cells": cells,
     }

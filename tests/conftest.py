@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,81 @@ def admissible_cells(genus_max, genus_one_cap=None):
         for g in range(genus_max + 1)
         for i in admissible_orders(g, genus_one_cap)
     ]
+
+
+def _pair_counts(g: MultiGraph) -> tuple[dict[frozenset[str], int], dict[str, int]]:
+    pairs: dict[frozenset[str], int] = Counter()
+    loops: dict[str, int] = Counter()
+    for e in g.edges:
+        if e.is_loop:
+            loops[e.tail] += 1
+        else:
+            pairs[e.ends] += 1
+    return pairs, loops
+
+
+def are_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
+    """Decide multigraph isomorphism by pruned backtracking.
+
+    A vertex bijection is an isomorphism iff it preserves the edge
+    multiplicity of every vertex pair and the loop count of every vertex;
+    the matching bijection on edge identifiers then exists automatically.
+    Meant for small graphs (tens of vertices).
+    """
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    pairs1, loops1 = _pair_counts(g1)
+    pairs2, loops2 = _pair_counts(g2)
+
+    def signature(g: MultiGraph, pairs, loops):
+        sig = {}
+        for v in g.vertices:
+            nbr = sorted(
+                (k, g.degrees[u])
+                for key, k in pairs.items()
+                if v in key
+                for u in key
+                if u != v
+            )
+            sig[v] = (g.degrees[v], loops.get(v, 0), tuple(nbr))
+        return sig
+
+    sig1 = signature(g1, pairs1, loops1)
+    sig2 = signature(g2, pairs2, loops2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return False
+
+    pool: dict[tuple, list[str]] = {}
+    for w in g2.vertices:
+        pool.setdefault(sig2[w], []).append(w)
+    order = sorted(g1.vertices, key=lambda v: len(pool[sig1[v]]))
+
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def mult(pairs, loops, u, v) -> int:
+        if u == v:
+            return loops.get(u, 0)
+        return pairs.get(frozenset((u, v)), 0)
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in pool[sig1[v]]:
+            if w in used:
+                continue
+            if any(mult(pairs1, loops1, v, u) != mult(pairs2, loops2, w, mapping[u]) for u in mapping):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if extend(i + 1):
+                return True
+            del mapping[v]
+            used.remove(w)
+        return False
+
+    return extend(0)
 
 
 def random_quotient(rng, max_vertices=5, max_edges=8):

@@ -16,6 +16,7 @@ from conftest import (
     acts_freely_on_edges,
     acts_freely_on_vertices,
     admissible_cells,
+    are_isomorphic,
     corrupted_two_cycle_model,
     handcrafted_models,
     random_generating_set,
@@ -43,7 +44,6 @@ from curveindex.invariants import (
 from curveindex.action import validate
 from curveindex.multigraph import (
     MultiGraph,
-    are_isomorphic,
     arithmetic_genus,
     degree,
     euler_characteristic,

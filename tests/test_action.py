@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     acts_freely_on_vertices,
+    are_isomorphic,
     orbit_sizes,
     random_voltage_models,
     single_edge_swap_model,
@@ -20,7 +21,7 @@ from curveindex.action import (
 )
 from curveindex.constructions import coathanger_chain, cycle_model, mobius_ladder
 from curveindex.invariants import divisors
-from curveindex.multigraph import MultiGraph, are_isomorphic, is_connected
+from curveindex.multigraph import MultiGraph, is_connected
 
 
 def test_rotation_on_six_cycle_validates():

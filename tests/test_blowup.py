@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from conftest import chain_name_clash_model, circulant_model, single_edge_swap_model
+from conftest import are_isomorphic, chain_name_clash_model, circulant_model, single_edge_swap_model
 from curveindex import blowup
 from curveindex.action import CyclicAction, map_power, validate
 from curveindex.blowup import base_change, oracle_splits, oracle_table
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
 from curveindex.multigraph import (
-    are_isomorphic,
     arithmetic_genus,
     euler_characteristic,
     subdivide_with_provenance,

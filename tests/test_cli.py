@@ -8,7 +8,7 @@ import pytest
 
 from conftest import chain_name_clash_model, corrupted_two_cycle_model
 from curveindex.cli import main
-from curveindex.constructions import construct
+from curveindex.constructions import CurveModel, construct
 from curveindex.serialize import load_model, save_model
 
 
@@ -128,6 +128,40 @@ def test_verify_flags_corrupted_model(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--model", str(path))
     assert code == 1
     assert "case" in out or "prediction" in out
+
+
+def test_verify_inadmissible_claim_is_failed_check(tmp_path, capsys):
+    m = construct(1, 4)
+    path = tmp_path / "claim.json"
+    save_model(CurveModel(m.graph, m.action, m.components, claimed=(4, 4)), path)
+    code, out, err = run(capsys, "verify", "--model", str(path))
+    assert code == 1 and err == ""
+    assert "order 4 does not divide 2*genus - 2 = 6" in out and "0/1 cells verified" in out
+    code, out, _ = run(capsys, "verify", "--model", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["cells"][0]["prediction_ok"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--genus", "4", "--index", "6", "--out", "{bad}"],
+        ["construct", "--genus", "4", "--index", "6", "--dot", "{bad}"],
+        ["verify", "--genus-max", "1", "--out", "{bad}"],
+        ["verify", "--model", "{m}", "--json", "--out", "{bad}"],
+        ["oracle", "{m}", "--d", "1", "--e", "2", "--emit-dot", "{bad}"],
+    ],
+    ids=["construct-out", "construct-dot", "verify-out", "verify-model-out", "oracle-emit-dot"],
+)
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    bad = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *[a.format(m=path, bad=bad) for a in argv])
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert not bad.parent.exists()
 
 
 def test_chain_names_avoid_user_vertex_ids(tmp_path, capsys):

@@ -7,6 +7,7 @@ from conftest import (
     acts_freely_on_edges,
     acts_freely_on_vertices,
     admissible_cells,
+    are_isomorphic,
     orbit_sizes,
     random_generating_set,
 )
@@ -21,7 +22,6 @@ from curveindex.constructions import (
     mobius_ladder,
 )
 from curveindex.multigraph import (
-    are_isomorphic,
     arithmetic_genus,
     degree,
     euler_characteristic,

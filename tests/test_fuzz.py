@@ -1,0 +1,76 @@
+"""Seeded mutation fuzz of model files through the CLI.
+
+Constructed model documents get keys or list items dropped and values
+replaced by ill-typed or extreme ones; every mutated file then goes through
+the commands that read a model.  Each call must return 0, 1 or 2 without
+raising, and exit 2 must come with an ``error:`` message.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import random
+
+from curveindex.cli import main
+from curveindex.constructions import construct
+from curveindex.serialize import model_to_obj
+
+SEED = 4
+MUTATIONS = 200
+BASES = [(0, 2), (1, 3), (3, 4), (4, 6)]
+VALUES = [None, True, 0, -1, 10**30, 1.5, 'a"b\\', "é", [], {}]
+COMMANDS = [
+    ["index", "{m}"],
+    ["splitting", "{m}", "--m-invariant", "--json"],
+    ["check", "{m}", "--residue-q", "2"],
+    ["oracle", "{m}", "--d", "1", "--e", "2"],
+    ["verify", "--e-max", "3", "--model", "{m}"],
+]
+
+
+def mutate(doc, rng):
+    """Drop or replace one to three nodes, each reached by a random walk from the root."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.65):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, rng.choice(keys)
+            node = parent[key]
+        if parent is None:
+            continue
+        if rng.random() < 0.3:
+            del parent[key]
+        else:
+            # A fresh copy, or one shared {} or [] could end up inside itself.
+            parent[key] = copy.deepcopy(rng.choice(VALUES))
+    return doc
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_mutated_models_exit_cleanly(tmp_path):
+    rng = random.Random(SEED)
+    bases = [model_to_obj(construct(g, i)) for g, i in BASES]
+    path = tmp_path / "m.json"
+    bad = []
+    for k in range(MUTATIONS):
+        doc = mutate(rng.choice(bases), rng)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in COMMANDS:
+            argv = [a.format(m=path) for a in argv]
+            try:
+                code, err = run(argv)
+            except BaseException as exc:  # noqa: BLE001 -- any escape is a finding
+                bad.append((k, argv[0], repr(exc), doc))
+                continue
+            if code not in (0, 1, 2) or (code == 2 and not err.startswith("error: ")):
+                bad.append((k, argv[0], f"exit {code}: {err!r}", doc))
+    assert not bad, f"{len(bad)} bad calls, first: {bad[0]}"

@@ -2,18 +2,17 @@ import random
 
 import pytest
 
+from conftest import are_isomorphic
 from curveindex.constructions import coathanger_chain, mobius_ladder
 from curveindex.multigraph import (
     GraphError,
     MultiGraph,
-    are_isomorphic,
     arithmetic_genus,
     chain_separator,
     degree,
     euler_characteristic,
     from_json_obj,
     is_connected,
-    subdivide,
     subdivide_with_provenance,
     to_dot,
     to_json_obj,
@@ -169,25 +168,25 @@ def test_mobius_ladders_connected():
 
 def test_subdivide_single_edge_is_path():
     g = MultiGraph.build(["a", "b"], [("e", "a", "b")])
-    s = subdivide(g, 3)
+    s = subdivide_with_provenance(g, 3)[0]
     assert len(s.vertices) == 4 and len(s.edges) == 3
     assert are_isomorphic(s, path_graph(3))
     assert {"a", "b"} <= set(s.vertices)
 
 
 def test_subdivide_two_cycle_gives_four_cycle():
-    s = subdivide(cycle_graph(2), 2)
+    s = subdivide_with_provenance(cycle_graph(2), 2)[0]
     assert are_isomorphic(s, cycle_graph(4))
 
 
 def test_subdivide_identity():
     g = cycle_graph(3)
-    assert subdivide(g, 1) == g
+    assert subdivide_with_provenance(g, 1)[0] == g
 
 
 def test_subdivide_rejects_zero():
     with pytest.raises(GraphError):
-        subdivide(cycle_graph(3), 0)
+        subdivide_with_provenance(cycle_graph(3), 0)
 
 
 def test_subdivide_provenance_positions():
@@ -217,7 +216,7 @@ def test_subdivide_preserves_euler_and_counts():
     for _ in range(40):
         g = random_multigraph(rng)
         e = rng.randint(1, 5)
-        s = subdivide(g, e)
+        s = subdivide_with_provenance(g, e)[0]
         assert len(s.vertices) == len(g.vertices) + len(g.edges) * (e - 1)
         assert len(s.edges) == e * len(g.edges)
         assert euler_characteristic(s) == euler_characteristic(g)
@@ -228,7 +227,7 @@ def test_subdivide_preserves_genus():
     for g_param in range(2, 7):
         graph, _ = mobius_ladder(g_param)
         for e in (2, 3, 5):
-            assert arithmetic_genus(subdivide(graph, e)) == arithmetic_genus(graph)
+            assert arithmetic_genus(subdivide_with_provenance(graph, e)[0]) == arithmetic_genus(graph)
 
 
 # isomorphism

@@ -131,3 +131,16 @@ def test_rejects_json_booleans(tmp_path, capsys, field, value):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["index", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+@pytest.mark.parametrize("value", [None, 3, 1.5, True, {"id": "0"}])
+def test_rejects_non_list_graph_members(tmp_path, capsys, key, value):
+    obj = model_to_obj(construct(1, 3))
+    obj["graph"][key] = value
+    with pytest.raises(ModelFormatError, match="graph.vertices and graph.edges must be lists"):
+        model_from_obj(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["index", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

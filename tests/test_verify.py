@@ -41,7 +41,7 @@ def test_check_model_flags_on_good_cell():
     cell = check_model(construct(4, 6), e_max=4, residue_cardinalities=(2, math.inf))
     assert cell.passed
     assert cell.action_valid and cell.connected
-    assert cell.genus_computed == 4 and cell.index_value == 6
+    assert cell.genus_computed == 4 and cell.index == 6
     assert cell.index_ok and cell.case_ok and cell.prediction_ok and cell.oracle_ok
     assert cell.realizability == {2: True, math.inf: True}
     assert cell.classifier_table[(3, 2)] is True
@@ -62,6 +62,18 @@ def test_check_model_flags_corruption():
     assert cell.prediction_ok is False
     assert cell.oracle_ok  # the corrupted action is still internally consistent
     assert any("prediction mismatch at (d=1, e=2)" in f for f in cell.failures)
+
+
+def test_check_model_flags_inadmissible_claim():
+    # I = 4 does not divide 2g - 2 = 6, so the closed form predicts nothing for this claim.
+    m = construct(1, 4)
+    cell = check_model(CurveModel(m.graph, m.action, m.components, claimed=(4, 4)), e_max=3)
+    assert not cell.passed
+    assert cell.prediction_ok is False
+    assert "prediction: order 4 does not divide 2*genus - 2 = 6" in cell.failures
+    assert not any(f.startswith("prediction mismatch") for f in cell.failures)
+    assert "genus: computed 1, claimed 4" in cell.failures
+    assert cell.oracle_ok and cell.index_ok
 
 
 def test_check_model_reports_invalid_action():
