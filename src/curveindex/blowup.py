@@ -2,27 +2,30 @@
 
 Pulling a model up a ramified extension of index ``e`` turns every node into
 a chain of ``e - 1`` fresh components; combinatorially that is edge
-subdivision.  The group action follows along: a chain maps onto the image
-edge's chain, position-preserving when the edge image keeps its stored
-orientation and position-reversing otherwise.  The curve then has a rational
-point over an extension of type ``(d, e)`` iff the ``d``-th power of the
-transported generator fixes a vertex of the subdivided graph, which is the
-whole oracle.  The subdivided graph depends on ``e`` alone, and transport
-commutes with taking powers, so :func:`oracle_table` blows the model up once
-per ``e`` and takes one power per ``d``.  Beyond
-:func:`~curveindex.action.map_power`, which is tested on its own, the oracle
-shares no logic with the closed-form classifier in
-:mod:`curveindex.invariants`, so agreement between the two is evidence.
+subdivision.  The group action follows along (:func:`transport`): a chain
+maps onto the image edge's chain, position-preserving when the edge image
+keeps its stored orientation and position-reversing otherwise.  The curve
+then has a rational point over an extension of type ``(d, e)`` iff the
+``d``-th power of the transported generator fixes a vertex of the subdivided
+graph, which is the whole oracle.  That power fixes a vertex iff the length
+of the generator's cycle through it divides ``d``, so :func:`oracle_table`
+transports the generator once per ``e``, walks its cycles once and reads
+off every ``d``; it never builds the subdivided graph, which
+:func:`blow_up` and :func:`base_change` still return.  Beyond
+:func:`~curveindex.action.cycles` and :func:`~curveindex.action.map_power`
+(built on it), which are tested on their own, the oracle shares no logic
+with the closed-form classifier in :mod:`curveindex.invariants`, so
+agreement between the two is evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import CyclicAction, map_power
+from .action import CyclicAction, cycles, map_power
 from .constructions import CurveModel
 from .invariants import ExtensionSpec, divisors
-from .multigraph import MultiGraph, chain_separator, subdivide_with_provenance
+from .multigraph import GraphError, MultiGraph, chain_separator, subdivide_with_provenance
 
 
 @dataclass(frozen=True)
@@ -41,16 +44,18 @@ class BlownUpModel:
     provenance: dict[str, tuple[str, int]]
 
 
-def blow_up(m: CurveModel, e: int) -> BlownUpModel:
-    """Subdivide ``e``-fold and transport the whole group's generator.
+def transport(m: CurveModel, e: int) -> CyclicAction:
+    """The whole group's generator carried to the ``e``-fold subdivision of ``m.graph``.
 
-    ``e == 1`` (unramified) returns the model's own graph and action.
+    Vertex and edge identifiers are those of
+    :func:`~curveindex.multigraph.subdivide_with_provenance`; ``e == 1``
+    returns the model's own action.  Raises :class:`GraphError` if two
+    vertices of the subdivision would share a name.
     """
     if e == 1:
-        return BlownUpModel(m.graph, m.action, {})
+        return m.action
     gen_v = m.action.vertex_map
     gen_e = m.action.edge_map
-    graph, provenance = subdivide_with_provenance(m.graph, e)
     sep = chain_separator(m.graph, e)
     vmap = {v: gen_v[v] for v in m.graph.vertices}
     emap: dict[str, str] = {}
@@ -63,7 +68,23 @@ def blow_up(m: CurveModel, e: int) -> BlownUpModel:
         for s in range(e):
             t = s if keeps_orientation else e - 1 - s
             emap[f"{edge.id}#{s}"] = f"{image.id}#{t}"
-    return BlownUpModel(graph, CyclicAction(m.action.order, vmap, emap), provenance)
+    if len(vmap) < len(m.graph.vertices) + (e - 1) * len(m.graph.edges):
+        raise GraphError(f"chain vertex names of the {e}-fold subdivision collide with vertex identifiers")
+    return CyclicAction(m.action.order, vmap, emap)
+
+
+def blow_up(m: CurveModel, e: int) -> BlownUpModel:
+    """Subdivide ``e``-fold and transport the whole group's generator.
+
+    ``e == 1`` (unramified) returns the model's own graph and action.
+    """
+    graph, provenance = subdivide_with_provenance(m.graph, e)
+    return BlownUpModel(graph, transport(m, e), provenance)
+
+
+def _check_codegree(m: CurveModel, d: int) -> None:
+    if m.action.order % d != 0:
+        raise ValueError(f"d = {d} does not divide the acting order {m.action.order}")
 
 
 def base_change(m: CurveModel, x: ExtensionSpec) -> BlownUpModel:
@@ -73,12 +94,10 @@ def base_change(m: CurveModel, x: ExtensionSpec) -> BlownUpModel:
     the subgroup addressed by ``x.d``, generated by the ``x.d``-th power of
     the transported generator.
     """
-    order = m.action.order
-    if order % x.d != 0:
-        raise ValueError(f"d = {x.d} does not divide the acting order {order}")
+    _check_codegree(m, x.d)
     blown = blow_up(m, x.e)
     action = CyclicAction(
-        order // x.d,
+        m.action.order // x.d,
         map_power(blown.action.vertex_map, x.d),
         map_power(blown.action.edge_map, x.d),
     )
@@ -91,20 +110,21 @@ def has_fixed_vertex(vertex_map: dict[str, str]) -> bool:
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
-    """True iff the blown-up model has a vertex fixed by the acting subgroup."""
-    return has_fixed_vertex(base_change(m, x).action.vertex_map)
+    """True iff the ``x.d``-th power of the transported generator fixes a vertex."""
+    _check_codegree(m, x.d)
+    return has_fixed_vertex(map_power(transport(m, x.e).vertex_map, x.d))
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
     """:func:`oracle_splits` for every ``d | I`` and ``1 <= e <= e_max``.
 
-    Keys are ``(d, e)`` in sorted order; each ``e`` costs one blow-up.
+    Keys are ``(d, e)`` in sorted order; each ``e`` costs one transport and
+    one cycle walk of its vertex map.
     """
-    codegrees = divisors(m.action.order)
-    table = {}
-    for e in range(1, e_max + 1):
-        vmap = blow_up(m, e).action.vertex_map
-        for d in codegrees:
-            table[(d, e)] = has_fixed_vertex(map_power(vmap, d))
-        del vmap  # free it before the next, larger blow-up
-    return dict(sorted(table.items()))
+    depths = range(1, e_max + 1)
+    lengths = [{len(c) for c in cycles(transport(m, e).vertex_map)} for e in depths]
+    return {
+        (d, e): any(d % n == 0 for n in lengths[e - 1])
+        for d in divisors(m.action.order)
+        for e in depths
+    }

@@ -10,7 +10,8 @@ Layout::
       "claimed":    {"genus": 4, "index": 6}
     }
 
-``components`` entries default to 1/1 when omitted; ``claimed`` is optional.
+``components`` entries default to 1/1 when omitted; ``claimed`` is optional;
+``action.order`` is at most :data:`MAX_ORDER`.
 Parsing validates everything a :class:`CurveModel` promises (graph shape,
 action laws, connectivity) and raises :class:`ModelFormatError` with the
 offending location.
@@ -31,6 +32,11 @@ class ModelFormatError(ValueError):
     """A model document that does not parse or validate."""
 
 
+# Largest accepted acting order.  Listing the divisors of I, which the
+# splitting table and the oracle need, takes about sqrt(I) steps.
+MAX_ORDER = 10**12
+
+
 def _is_int(x: object) -> bool:
     """A JSON integer; ``true`` and ``false`` load as ``bool``, a subclass of ``int``."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -46,6 +52,8 @@ def action_from_obj(obj: dict) -> CyclicAction:
     order = obj.get("order")
     if not _is_int(order) or order < 1:
         raise ModelFormatError(f"action.order must be a positive integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise ModelFormatError(f"action.order must be at most {MAX_ORDER}, got {order}")
     maps = {}
     for key in ("vertex_map", "edge_map"):
         raw = obj.get(key)

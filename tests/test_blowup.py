@@ -1,14 +1,19 @@
+import ast
+import inspect
 import random
+from collections import defaultdict
 
 import pytest
 
 from conftest import are_isomorphic, chain_name_clash_model, circulant_model, single_edge_swap_model
-from curveindex import blowup
+from curveindex import blowup, invariants
 from curveindex.action import CyclicAction, map_power, validate
-from curveindex.blowup import base_change, oracle_splits, oracle_table
+from curveindex.blowup import base_change, blow_up, oracle_splits, oracle_table, transport
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
 from curveindex.multigraph import (
+    GraphError,
+    MultiGraph,
     arithmetic_genus,
     euler_characteristic,
     subdivide_with_provenance,
@@ -149,17 +154,67 @@ def test_base_change_equals_power_then_transport(model_pool):
                 assert blown.provenance == provenance
 
 
+def assert_oracle_table_matches_oracle_splits(m, e_max):
+    table = oracle_table(m, e_max)
+    assert table == {
+        (d, e): oracle_splits(m, ExtensionSpec(d, e))
+        for d in divisors(m.action.order)
+        for e in range(1, e_max + 1)
+    }
+    assert list(table) == sorted(table)
+
+
 def test_oracle_table_matches_oracle_splits(model_pool):
     rng = random.Random(5)
     circulants = [circulant_model(24, 1, rng), circulant_model(30, 2, rng)]
     for m in list(model_pool) + circulants:
-        table = oracle_table(m, 6)
-        assert table == {
-            (d, e): oracle_splits(m, ExtensionSpec(d, e))
-            for d in divisors(m.action.order)
-            for e in range(1, 7)
-        }
-        assert list(table) == sorted(table)
+        assert_oracle_table_matches_oracle_splits(m, 6)
+
+
+def test_oracle_table_matches_oracle_splits_at_depth_12():
+    rng = random.Random(12)
+    for m in (circulant_model(60, 1, rng), circulant_model(84, 2, rng)):
+        assert_oracle_table_matches_oracle_splits(m, 12)
+
+
+def test_transport_is_the_blow_up_action(model_pool):
+    for m in model_pool:
+        for e in (1, 2, 3, 5):
+            action = transport(m, e)
+            blown = blow_up(m, e)
+            assert action.order == blown.action.order
+            assert list(action.vertex_map.items()) == list(blown.action.vertex_map.items())
+            assert list(action.edge_map.items()) == list(blown.action.edge_map.items())
+            assert action.vertex_map.keys() == blown.graph.vertex_set
+            assert action.edge_map.keys() == blown.graph.edge_by_id.keys()
+
+
+def test_transport_rejects_colliding_chain_names(monkeypatch):
+    monkeypatch.setattr(blowup, "chain_separator", lambda g, e: ":")
+    with pytest.raises(GraphError, match="collide"):
+        transport(chain_name_clash_model(), 2)
+
+
+def test_oracle_table_builds_no_graph(monkeypatch):
+    subdivisions, builds = [], []
+    build = MultiGraph.build
+
+    def counting_subdivide(g, e):
+        subdivisions.append(e)
+        return subdivide_with_provenance(g, e)
+
+    def counting_build(cls, vertices, edges):
+        builds.append(cls)
+        return build(vertices, edges)
+
+    m = construct(4, 6)
+    monkeypatch.setattr(blowup, "subdivide_with_provenance", counting_subdivide)
+    monkeypatch.setattr(MultiGraph, "build", classmethod(counting_build))
+    assert oracle_table(m, 6) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2, 3, 6) for e in range(1, 7)}
+    assert builds == []
+    cell = check_model(m, e_max=6)
+    assert cell.passed and len(cell.oracle_table) == 4 * 6
+    assert subdivisions == []
 
 
 def test_check_model_subdivides_once_per_ramification_depth(monkeypatch):
@@ -183,3 +238,33 @@ def test_chain_names_avoid_vertex_ids():
     assert blown.action.vertex_map == {"x:1": "b", "b": "x:1", "x::1": "x::1"}
     assert validate(blown.graph, blown.action).ok
     assert oracle_table(m, 4) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2) for e in range(1, 5)}
+
+
+def curveindex_imports(module) -> dict[str, set[str]]:
+    """``sibling module -> names`` that ``module`` imports from its own package (``*`` for the module itself)."""
+    found = defaultdict(set)
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("curveindex."):
+                    found[alias.name.removeprefix("curveindex.")].add("*")
+        elif isinstance(node, ast.ImportFrom):
+            path = node.module or ""
+            if not node.level:
+                if path.split(".")[0] != "curveindex":
+                    continue
+                path = path.removeprefix("curveindex").lstrip(".")
+            if path:
+                found[path].update(alias.name for alias in node.names)
+            else:
+                for alias in node.names:
+                    found[alias.name].add("*")
+    return found
+
+
+def test_oracle_and_classifier_stay_independent():
+    oracle = curveindex_imports(blowup)
+    assert oracle["action"] <= {"CyclicAction", "cycles", "map_power"}
+    assert oracle["invariants"] <= {"ExtensionSpec", "divisors"}
+    assert "verify" not in oracle and "cli" not in oracle
+    assert "blowup" not in curveindex_imports(invariants)

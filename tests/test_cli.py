@@ -207,6 +207,22 @@ def test_unparseable_model_is_input_error(tmp_path, capsys):
 HUGE_ORDER = 2 * 10**7
 
 
+def run_fixed_loop_model(tmp_path, order, argv):
+    """Run the CLI in a subprocess, bounded at 10 s, on one fixed vertex with a fixed loop."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "graph": {"vertices": [{"id": "a"}], "edges": [{"id": "l", "ends": ["a", "a"]}]},
+        "action": {"order": order, "vertex_map": {"a": "a"}, "edge_map": {"l": "l"}},
+    }), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "curveindex.cli"] + [a.format(m=path) for a in argv]
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv[0]} did not finish within 10 s at order {order}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -218,18 +234,17 @@ HUGE_ORDER = 2 * 10**7
     ids=["index", "splitting", "verify", "check"],
 )
 def test_huge_declared_order_finishes(tmp_path, argv):
-    # One vertex with a loop, both fixed, declared at order 2 * 10**7: every
-    # cycle length is 1, so no command may cost time in proportion to the order.
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "graph": {"vertices": [{"id": "a"}], "edges": [{"id": "l", "ends": ["a", "a"]}]},
-        "action": {"order": HUGE_ORDER, "vertex_map": {"a": "a"}, "edge_map": {"l": "l"}},
-    }), encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-m", "curveindex.cli"] + [a.format(m=path) for a in argv]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"{argv[0]} did not finish within 10 s at order {HUGE_ORDER}")
+    # Every cycle length is 1, so no command may cost time in proportion to the order.
+    proc = run_fixed_loop_model(tmp_path, HUGE_ORDER, argv)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["splitting", "{m}"], ["verify", "--model", "{m}"]], ids=["splitting", "verify"]
+)
+def test_order_above_cap_is_input_error(tmp_path, argv):
+    # The model is otherwise valid; listing the divisors of 10**30 would never finish.
+    proc = run_fixed_loop_model(tmp_path, 10**30, argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "action.order" in proc.stderr
