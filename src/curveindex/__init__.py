@@ -51,7 +51,7 @@ from .multigraph import (
     degree,
     euler_characteristic,
     is_connected,
-    subdivide_with_provenance,
+    subdivide,
 )
 from .serialize import ModelFormatError, dumps_model, load_model, model_from_obj, model_to_obj, save_model
 from .verify import VerificationReport, check_model, expected_case, run_verification

@@ -2,16 +2,16 @@
 
 Pulling a model up a ramified extension of index ``e`` turns every node into
 a chain of ``e - 1`` fresh components; combinatorially that is edge
-subdivision.  The group action follows along (:func:`transport`): a chain
-maps onto the image edge's chain, position-preserving when the edge image
-keeps its stored orientation and position-reversing otherwise.  The curve
-then has a rational point over an extension of type ``(d, e)`` iff the
-``d``-th power of the transported generator fixes a vertex of the subdivided
-graph, which is the whole oracle.  That power fixes a vertex iff the length
-of the generator's cycle through it divides ``d``, so :func:`oracle_table`
-transports the generator once per ``e``, walks its cycles once and reads
-off every ``d``; it never builds the subdivided graph, which
-:func:`blow_up` and :func:`base_change` still return.  Beyond
+subdivision (:func:`~curveindex.multigraph.subdivide`).  The group action
+follows along (:func:`transport`): a chain maps onto the image edge's chain,
+position-preserving when the edge image keeps its stored orientation and
+position-reversing otherwise.  The curve then has a rational point over an
+extension of type ``(d, e)`` iff the ``d``-th power of the transported
+generator fixes a vertex of the subdivided graph, which is the whole oracle.
+That power fixes a vertex iff the length of the generator's cycle through it
+divides ``d``, so :func:`oracle_table` transports the generator once per
+``e``, walks its cycles once and reads off every ``d``; it never builds the
+subdivided graph, which only :func:`base_change` returns.  Beyond
 :func:`~curveindex.action.cycles` and :func:`~curveindex.action.map_power`
 (built on it), which are tested on their own, the oracle shares no logic
 with the closed-form classifier in :mod:`curveindex.invariants`, so
@@ -25,61 +25,48 @@ from dataclasses import dataclass
 from .action import CyclicAction, cycles, map_power
 from .constructions import CurveModel
 from .invariants import ExtensionSpec, divisors
-from .multigraph import GraphError, MultiGraph, chain_separator, subdivide_with_provenance
+from .multigraph import GraphError, MultiGraph, chain, chain_separator, subdivide
 
 
 @dataclass(frozen=True)
 class BlownUpModel:
-    """Subdivided graph with the transported action.
+    """Subdivided graph with the action of the subgroup addressed by ``d``.
 
-    ``action.order`` is the order of the acting group (``I`` from
-    :func:`blow_up`, ``I/d`` from :func:`base_change`); ``provenance`` maps
-    each fresh chain vertex to (parent edge, position).  Original vertices
-    keep their identifiers, so the Euler characteristic (and hence the
-    genus) is unchanged.
+    ``action.order`` is ``I/d``.  Original vertices keep their identifiers,
+    so the Euler characteristic (and hence the genus) is unchanged.
     """
 
     graph: MultiGraph
     action: CyclicAction
-    provenance: dict[str, tuple[str, int]]
 
 
 def transport(m: CurveModel, e: int) -> CyclicAction:
     """The whole group's generator carried to the ``e``-fold subdivision of ``m.graph``.
 
     Vertex and edge identifiers are those of
-    :func:`~curveindex.multigraph.subdivide_with_provenance`; ``e == 1``
-    returns the model's own action.  Raises :class:`GraphError` if two
-    vertices of the subdivision would share a name.
+    :func:`~curveindex.multigraph.subdivide`; ``e == 1`` returns the model's
+    own action.  Raises :class:`GraphError` if two vertices of the
+    subdivision would share a name.
     """
     if e == 1:
         return m.action
     gen_v = m.action.vertex_map
     gen_e = m.action.edge_map
     sep = chain_separator(m.graph, e)
+    names = {edge.id: chain(edge.id, e, sep) for edge in m.graph.edges}
     vmap = {v: gen_v[v] for v in m.graph.vertices}
     emap: dict[str, str] = {}
     for edge in m.graph.edges:
         image = m.graph.edge_by_id[gen_e[edge.id]]
-        keeps_orientation = gen_v[edge.tail] == image.tail
-        for p in range(1, e):
-            q = p if keeps_orientation else e - p
-            vmap[f"{edge.id}{sep}{p}"] = f"{image.id}{sep}{q}"
-        for s in range(e):
-            t = s if keeps_orientation else e - 1 - s
-            emap[f"{edge.id}#{s}"] = f"{image.id}#{t}"
+        inner, segments = names[edge.id]
+        image_inner, image_segments = names[image.id]
+        if gen_v[edge.tail] != image.tail:  # the image runs against its stored orientation
+            image_inner, image_segments = image_inner[::-1], image_segments[::-1]
+        vmap.update(zip(inner, image_inner))
+        emap.update(zip(segments, image_segments))
     if len(vmap) < len(m.graph.vertices) + (e - 1) * len(m.graph.edges):
         raise GraphError(f"chain vertex names of the {e}-fold subdivision collide with vertex identifiers")
     return CyclicAction(m.action.order, vmap, emap)
-
-
-def blow_up(m: CurveModel, e: int) -> BlownUpModel:
-    """Subdivide ``e``-fold and transport the whole group's generator.
-
-    ``e == 1`` (unramified) returns the model's own graph and action.
-    """
-    graph, provenance = subdivide_with_provenance(m.graph, e)
-    return BlownUpModel(graph, transport(m, e), provenance)
 
 
 def _check_codegree(m: CurveModel, d: int) -> None:
@@ -95,24 +82,15 @@ def base_change(m: CurveModel, x: ExtensionSpec) -> BlownUpModel:
     the transported generator.
     """
     _check_codegree(m, x.d)
-    blown = blow_up(m, x.e)
-    action = CyclicAction(
-        m.action.order // x.d,
-        map_power(blown.action.vertex_map, x.d),
-        map_power(blown.action.edge_map, x.d),
-    )
-    return BlownUpModel(blown.graph, action, blown.provenance)
-
-
-def has_fixed_vertex(vertex_map: dict[str, str]) -> bool:
-    """True iff the vertex permutation fixes some vertex."""
-    return any(w == v for v, w in vertex_map.items())
+    gen = transport(m, x.e)
+    action = CyclicAction(m.action.order // x.d, map_power(gen.vertex_map, x.d), map_power(gen.edge_map, x.d))
+    return BlownUpModel(subdivide(m.graph, x.e), action)
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """True iff the ``x.d``-th power of the transported generator fixes a vertex."""
     _check_codegree(m, x.d)
-    return has_fixed_vertex(map_power(transport(m, x.e).vertex_map, x.d))
+    return any(w == v for v, w in map_power(transport(m, x.e).vertex_map, x.d).items())
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import multigraph
 from .action import cycles
-from .blowup import base_change, has_fixed_vertex
+from .blowup import base_change
 from .constructions import check_realizability, construct
 from .invariants import (
     Case,
@@ -111,20 +111,20 @@ def cmd_index(args) -> int:
 
 def cmd_splitting(args) -> int:
     model = load_model(args.model)
-    report = splitting_report(model, include_m_invariant=args.m_invariant)
+    report = splitting_report(model)
     if args.json:
         obj = {
             "index": report.index,
             "case": report.case.value,
             "table": table_obj(report.table),
         }
-        if report.m_invariant is not None:
+        if args.m_invariant:
             obj["m_invariant"] = report.m_invariant
         print(json.dumps(obj, indent=2))
     else:
         print(f"index: {report.index}")
         print(f"case:  {report.case.value}")
-        if report.m_invariant is not None:
+        if args.m_invariant:
             print(f"m-invariant: {report.m_invariant}")
         print("   d  e=1  e=2")
         for d in sorted({d for d, _ in report.table}):
@@ -143,7 +143,7 @@ def cmd_mtheorem(args) -> int:
 def cmd_oracle(args) -> int:
     model = load_model(args.model)
     blown = base_change(model, ExtensionSpec(args.d, args.e))
-    verdict = has_fixed_vertex(blown.action.vertex_map)
+    verdict = any(w == v for v, w in blown.action.vertex_map.items())
     if args.emit_dot:
         Path(args.emit_dot).write_text(multigraph.to_dot(blown.graph, name="blowup"), encoding="utf-8")
     summary = {

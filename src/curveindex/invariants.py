@@ -51,7 +51,7 @@ class SplittingReport:
     index: int
     case: Case
     table: dict[tuple[int, int], bool]  # (d, e) -> splits, for d | I and e in {1, 2}
-    m_invariant: int | None = None
+    m_invariant: int
 
 
 def divisors(n: int) -> list[int]:
@@ -94,9 +94,9 @@ def splits(m: CurveModel, x: ExtensionSpec) -> bool:
 
     True iff the subgroup addressed by ``x.d`` fixes a vertex, or stabilizes
     an edge while ``x.e`` is even.  Only the parity of ``x.e`` matters.
+    Raises :class:`~curveindex.action.ActionError` if ``x.d`` does not divide
+    the acting order.
     """
-    if m.action.order % x.d != 0:
-        raise ValueError(f"d = {x.d} does not divide the acting order {m.action.order}")
     if fixed_vertices(m.graph, m.action, x.d):
         return True
     return x.e % 2 == 0 and bool(stabilized_edges(m.graph, m.action, x.d))
@@ -104,10 +104,7 @@ def splits(m: CurveModel, x: ExtensionSpec) -> bool:
 
 def case_classification(m: CurveModel) -> Case:
     """Case 2 iff some subgroup stabilizes an edge yet fixes no vertex."""
-    for d in divisors(m.action.order):
-        if not fixed_vertices(m.graph, m.action, d) and stabilized_edges(m.graph, m.action, d):
-            return Case.CASE2
-    return Case.CASE1
+    return splitting_report(m).case
 
 
 def main_theorem_prediction(genus: int, order: int, x: ExtensionSpec, case: Case) -> bool:
@@ -137,22 +134,20 @@ def m_invariant(m: CurveModel) -> int:
     The least ``f`` with ``gcd(f, I) = d`` is ``d`` itself, so the minimum
     runs over the divisors of ``I``.
     """
-    return min(
-        d * e for d in divisors(m.action.order) for e in (1, 2) if splits(m, ExtensionSpec(d, e))
-    )
+    return splitting_report(m).m_invariant
 
 
-def splitting_report(m: CurveModel, include_m_invariant: bool = False) -> SplittingReport:
-    """Index, case, and the full (d, e-parity) splitting table."""
-    order = m.action.order
-    table = {
-        (d, e): splits(m, ExtensionSpec(d, e))
-        for d in divisors(order)
-        for e in (1, 2)
-    }
+def splitting_report(m: CurveModel) -> SplittingReport:
+    """The (d, e-parity) splitting table, and index, case and m-invariant read off it.
+
+    Row ``d`` reads ``(d, 1)`` false and ``(d, 2)`` true iff its subgroup
+    stabilizes an edge but fixes no vertex; ``(I, 1)`` is always true.
+    """
+    ds = divisors(m.action.order)
+    table = {(d, e): splits(m, ExtensionSpec(d, e)) for d in ds for e in (1, 2)}
     return SplittingReport(
         index=index(m),
-        case=case_classification(m),
+        case=Case.CASE2 if any(table[(d, 2)] and not table[(d, 1)] for d in ds) else Case.CASE1,
         table=table,
-        m_invariant=m_invariant(m) if include_m_invariant else None,
+        m_invariant=min(d * e for (d, e), value in table.items() if value),
     )

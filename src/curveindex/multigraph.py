@@ -145,35 +145,36 @@ def chain_separator(g: MultiGraph, e: int) -> str:
     return sep
 
 
-def subdivide_with_provenance(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[str, tuple[str, int]]]:
+def chain(edge_id: str, e: int, sep: str) -> tuple[list[str], list[str]]:
+    """Names of an edge's chain in the ``e``-fold subdivision, and the only place they are made.
+
+    Vertices ``<edge id><sep><p>`` for positions p = 1..e-1 from the tail;
+    segments ``<edge id>#<k>`` for k = 0..e-1, segment k joining positions k and k + 1.
+    """
+    return [f"{edge_id}{sep}{p}" for p in range(1, e)], [f"{edge_id}#{k}" for k in range(e)]
+
+
+def subdivide(g: MultiGraph, e: int) -> MultiGraph:
     """Replace every edge by a path of ``e`` edges through fresh vertices.
 
-    Internal vertices are named ``<edge id><sep><position>`` with positions
-    1..e-1 counted from the tail and ``sep`` from :func:`chain_separator`
-    (``":"`` whenever that names no existing vertex), and the segments
-    ``<edge id>#<k>`` for k in 0..e-1, so the expansion is reproducible.
-    Also returns ``new vertex -> (parent edge, position)``.  ``e == 1``
-    returns the graph unchanged and an empty provenance.
+    Fresh vertices and segments are named by :func:`chain` with ``sep`` from
+    :func:`chain_separator` (``":"`` whenever that names no existing
+    vertex), so the expansion is reproducible.  ``e == 1`` returns the graph
+    unchanged.
     """
     if e < 1:
         raise GraphError(f"subdivision factor must be >= 1, got {e}")
     if e == 1:
-        return g, {}
+        return g
     sep = chain_separator(g, e)
     vertices = list(g.vertices)
     edges: list[tuple[str, str, str]] = []
-    provenance: dict[str, tuple[str, int]] = {}
     for ed in g.edges:
-        chain = [ed.tail]
-        for p in range(1, e):
-            w = f"{ed.id}{sep}{p}"
-            vertices.append(w)
-            provenance[w] = (ed.id, p)
-            chain.append(w)
-        chain.append(ed.head)
-        for s in range(e):
-            edges.append((f"{ed.id}#{s}", chain[s], chain[s + 1]))
-    return MultiGraph.build(vertices, edges), provenance
+        inner, segments = chain(ed.id, e, sep)
+        vertices += inner
+        path = [ed.tail, *inner, ed.head]
+        edges += ((s, path[k], path[k + 1]) for k, s in enumerate(segments))
+    return MultiGraph.build(vertices, edges)
 
 
 def to_json_obj(g: MultiGraph) -> dict:

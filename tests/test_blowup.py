@@ -8,7 +8,7 @@ import pytest
 from conftest import are_isomorphic, chain_name_clash_model, circulant_model, single_edge_swap_model
 from curveindex import blowup, invariants
 from curveindex.action import CyclicAction, map_power, validate
-from curveindex.blowup import base_change, blow_up, oracle_splits, oracle_table, transport
+from curveindex.blowup import base_change, oracle_splits, oracle_table, transport
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
 from curveindex.multigraph import (
@@ -16,7 +16,7 @@ from curveindex.multigraph import (
     MultiGraph,
     arithmetic_genus,
     euler_characteristic,
-    subdivide_with_provenance,
+    subdivide,
 )
 from curveindex.verify import check_model
 
@@ -28,7 +28,8 @@ def test_single_edge_quadratic_blowup():
     vmap = blown.action.vertex_map
     assert vmap["a"] == "b" and vmap["b"] == "a"
     assert vmap["e:1"] == "e:1"  # the flip holds the chain midpoint in place
-    assert blown.provenance == {"e:1": ("e", 1)}
+    assert blown.graph.vertices == ("a", "b", "e:1")
+    assert [edge.id for edge in blown.graph.edges] == ["e#0", "e#1"]
     assert oracle_splits(m, ExtensionSpec(1, 2))
     assert not oracle_splits(m, ExtensionSpec(1, 1))
 
@@ -58,7 +59,7 @@ def test_unramified_base_change_keeps_graph():
     blown = base_change(m, ExtensionSpec(3, 1))
     assert blown.graph == m.graph
     assert blown.action.order == 2
-    assert blown.provenance == {}
+    assert blown.graph is m.graph  # no fresh vertices or segments
 
 
 def test_k33_flipped_rung_parity():
@@ -120,13 +121,19 @@ def test_oracle_verdict_depends_on_parity(model_pool):
 
 
 def naive_base_change(m, x):
-    """Power first, then subdivide and transport the subgroup's generator."""
+    """Power first, then subdivide and transport the subgroup's generator.
+
+    Also returns the ids the naming rule gives the fresh vertices and the
+    edges of the subdivision, in the order the subdivision adds them.
+    """
     gen_v = map_power(m.action.vertex_map, x.d)
     gen_e = map_power(m.action.edge_map, x.d)
     sub_order = m.action.order // x.d
+    fresh = [f"{edge.id}:{p}" for edge in m.graph.edges for p in range(1, x.e)]
     if x.e == 1:
-        return m.graph, CyclicAction(sub_order, gen_v, gen_e), {}
-    graph, provenance = subdivide_with_provenance(m.graph, x.e)
+        return m.graph, CyclicAction(sub_order, gen_v, gen_e), fresh, [edge.id for edge in m.graph.edges]
+    segments = [f"{edge.id}#{s}" for edge in m.graph.edges for s in range(x.e)]
+    graph = subdivide(m.graph, x.e)
     vmap = {v: gen_v[v] for v in m.graph.vertices}
     emap = {}
     for edge in m.graph.edges:
@@ -138,7 +145,7 @@ def naive_base_change(m, x):
         for s in range(x.e):
             t = s if keeps_orientation else x.e - 1 - s
             emap[f"{edge.id}#{s}"] = f"{image.id}#{t}"
-    return graph, CyclicAction(sub_order, vmap, emap), provenance
+    return graph, CyclicAction(sub_order, vmap, emap), fresh, segments
 
 
 def test_base_change_equals_power_then_transport(model_pool):
@@ -146,12 +153,13 @@ def test_base_change_equals_power_then_transport(model_pool):
         for d in divisors(m.action.order):
             for e in (1, 2, 3):
                 blown = base_change(m, ExtensionSpec(d, e))
-                graph, action, provenance = naive_base_change(m, ExtensionSpec(d, e))
+                graph, action, fresh, edge_ids = naive_base_change(m, ExtensionSpec(d, e))
                 assert blown.graph == graph
                 assert blown.action.order == action.order
                 assert list(blown.action.vertex_map.items()) == list(action.vertex_map.items())
                 assert list(blown.action.edge_map.items()) == list(action.edge_map.items())
-                assert blown.provenance == provenance
+                assert blown.graph.vertices[len(m.graph.vertices):] == tuple(fresh)
+                assert [edge.id for edge in blown.graph.edges] == edge_ids
 
 
 def assert_oracle_table_matches_oracle_splits(m, e_max):
@@ -177,11 +185,11 @@ def test_oracle_table_matches_oracle_splits_at_depth_12():
         assert_oracle_table_matches_oracle_splits(m, 12)
 
 
-def test_transport_is_the_blow_up_action(model_pool):
+def test_transport_is_the_base_change_action(model_pool):
     for m in model_pool:
         for e in (1, 2, 3, 5):
             action = transport(m, e)
-            blown = blow_up(m, e)
+            blown = base_change(m, ExtensionSpec(1, e))
             assert action.order == blown.action.order
             assert list(action.vertex_map.items()) == list(blown.action.vertex_map.items())
             assert list(action.edge_map.items()) == list(blown.action.edge_map.items())
@@ -201,14 +209,14 @@ def test_oracle_table_builds_no_graph(monkeypatch):
 
     def counting_subdivide(g, e):
         subdivisions.append(e)
-        return subdivide_with_provenance(g, e)
+        return subdivide(g, e)
 
     def counting_build(cls, vertices, edges):
         builds.append(cls)
         return build(vertices, edges)
 
     m = construct(4, 6)
-    monkeypatch.setattr(blowup, "subdivide_with_provenance", counting_subdivide)
+    monkeypatch.setattr(blowup, "subdivide", counting_subdivide)
     monkeypatch.setattr(MultiGraph, "build", classmethod(counting_build))
     assert oracle_table(m, 6) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2, 3, 6) for e in range(1, 7)}
     assert builds == []
@@ -222,9 +230,9 @@ def test_check_model_subdivides_once_per_ramification_depth(monkeypatch):
 
     def counting(g, e):
         calls.append(e)
-        return subdivide_with_provenance(g, e)
+        return subdivide(g, e)
 
-    monkeypatch.setattr(blowup, "subdivide_with_provenance", counting)
+    monkeypatch.setattr(blowup, "subdivide", counting)
     cell = check_model(construct(4, 6), e_max=6)
     assert cell.passed and len(cell.oracle_table) == 4 * 6
     assert len(calls) <= 5
@@ -234,7 +242,7 @@ def test_chain_names_avoid_vertex_ids():
     m = chain_name_clash_model()
     blown = base_change(m, ExtensionSpec(1, 2))
     assert blown.graph.vertices == ("x:1", "b", "x::1")
-    assert blown.provenance == {"x::1": ("x", 1)}
+    assert [edge.id for edge in blown.graph.edges] == ["x#0", "x#1"]
     assert blown.action.vertex_map == {"x:1": "b", "b": "x:1", "x::1": "x::1"}
     assert validate(blown.graph, blown.action).ok
     assert oracle_table(m, 4) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2) for e in range(1, 5)}

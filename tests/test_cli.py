@@ -63,6 +63,9 @@ def test_splitting_command(tmp_path, capsys):
     assert cells[(1, 2)] is True and cells[(1, 1)] is False
     code, out, _ = run(capsys, "splitting", str(path))
     assert "index: 2" in out and "yes" in out
+    assert "m-invariant" not in out  # printed only on request
+    code, out, _ = run(capsys, "splitting", str(path), "--json")
+    assert "m_invariant" not in json.loads(out)
 
 
 def test_mtheorem_command(capsys):

@@ -3,7 +3,8 @@
 Constructed model documents get keys or list items dropped and values
 replaced by ill-typed or extreme ones; every mutated file then goes through
 the commands that read a model.  Each call must return 0, 1 or 2 without
-raising, and exit 2 must come with an ``error:`` message.
+raising and within ``MAX_CALL_S`` seconds, and exit 2 must come with an
+``error:`` message.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import copy
 import io
 import json
 import random
+from time import perf_counter
 
 from curveindex.cli import main
 from curveindex.constructions import construct
@@ -18,6 +20,7 @@ from curveindex.serialize import model_to_obj
 
 SEED = 4
 MUTATIONS = 200
+MAX_CALL_S = 1.0  # the slowest call takes about 0.013 s
 BASES = [(0, 2), (1, 3), (3, 4), (4, 6)]
 VALUES = [None, True, 0, -1, 10**30, 1.5, 'a"b\\', "é", [], {}]
 COMMANDS = [
@@ -66,11 +69,15 @@ def test_mutated_models_exit_cleanly(tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         for argv in COMMANDS:
             argv = [a.format(m=path) for a in argv]
+            start = perf_counter()
             try:
                 code, err = run(argv)
             except BaseException as exc:  # noqa: BLE001 -- any escape is a finding
                 bad.append((k, argv[0], repr(exc), doc))
                 continue
+            elapsed = perf_counter() - start
+            if elapsed >= MAX_CALL_S:
+                bad.append((k, argv[0], f"took {elapsed:.3f} s", doc))
             if code not in (0, 1, 2) or (code == 2 and not err.startswith("error: ")):
                 bad.append((k, argv[0], f"exit {code}: {err!r}", doc))
     assert not bad, f"{len(bad)} bad calls, first: {bad[0]}"

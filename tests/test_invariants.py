@@ -1,9 +1,10 @@
 import math
+import random
 from functools import reduce
 
 import pytest
 
-from conftest import flipped_path_model, orbit_sizes, single_edge_swap_model
+from conftest import admissible_cells, circulant_model, flipped_path_model, orbit_sizes, single_edge_swap_model
 from curveindex.action import CyclicAction
 from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import (
@@ -18,7 +19,7 @@ from curveindex.invariants import (
     splits,
     splitting_report,
 )
-from curveindex.multigraph import MultiGraph
+from curveindex.multigraph import MultiGraph, arithmetic_genus
 
 
 def trivial_model(graph, components=None, claimed=None):
@@ -87,6 +88,19 @@ def test_index_divides_subfield_degree_times_subindex(model_pool):
                 math.gcd, (sizes[v] * m.component(v).ns_index for v in m.graph.vertices)
             )
             assert (d * sub_value) % value == 0
+
+
+def test_index_divides_two_genus_minus_two(model_pool):
+    # with every nonsingular index 1, the index divides the degree 2g - 2 of the canonical class
+    rng = random.Random(6)
+    circulants = [circulant_model(24, 1, rng), circulant_model(30, 2, rng), circulant_model(36, 3, rng)]
+    grid = [construct(g, i) for g, i in admissible_cells(12)]
+    checked = 0
+    for m in list(model_pool) + grid + circulants:
+        if all(m.component(v).ns_index == 1 for v in m.graph.vertices):
+            assert (2 * arithmetic_genus(m.graph) - 2) % index(m) == 0, (m.claimed, index(m))
+            checked += 1
+    assert checked >= len(grid) + len(circulants)
 
 
 # snc index
@@ -222,11 +236,11 @@ def test_report_cycle_two():
     assert report.index == 2
     assert report.case is Case.CASE1
     assert report.table == {(1, 1): False, (1, 2): False, (2, 1): True, (2, 2): True}
-    assert report.m_invariant is None
+    assert report.m_invariant == 2
 
 
 def test_report_single_edge():
-    report = splitting_report(construct(0, 2), include_m_invariant=True)
+    report = splitting_report(construct(0, 2))
     assert report.index == 2
     assert report.case is Case.CASE2
     assert report.table == {(1, 1): False, (1, 2): True, (2, 1): True, (2, 2): True}

@@ -8,12 +8,13 @@ from curveindex.multigraph import (
     GraphError,
     MultiGraph,
     arithmetic_genus,
+    chain,
     chain_separator,
     degree,
     euler_characteristic,
     from_json_obj,
     is_connected,
-    subdivide_with_provenance,
+    subdivide,
     to_dot,
     to_json_obj,
 )
@@ -168,31 +169,33 @@ def test_mobius_ladders_connected():
 
 def test_subdivide_single_edge_is_path():
     g = MultiGraph.build(["a", "b"], [("e", "a", "b")])
-    s = subdivide_with_provenance(g, 3)[0]
+    s = subdivide(g, 3)
     assert len(s.vertices) == 4 and len(s.edges) == 3
     assert are_isomorphic(s, path_graph(3))
     assert {"a", "b"} <= set(s.vertices)
 
 
 def test_subdivide_two_cycle_gives_four_cycle():
-    s = subdivide_with_provenance(cycle_graph(2), 2)[0]
+    s = subdivide(cycle_graph(2), 2)
     assert are_isomorphic(s, cycle_graph(4))
 
 
 def test_subdivide_identity():
     g = cycle_graph(3)
-    assert subdivide_with_provenance(g, 1)[0] == g
+    assert subdivide(g, 1) == g
 
 
 def test_subdivide_rejects_zero():
     with pytest.raises(GraphError):
-        subdivide_with_provenance(cycle_graph(3), 0)
+        subdivide(cycle_graph(3), 0)
 
 
-def test_subdivide_provenance_positions():
+def test_subdivide_chain_positions():
     g = MultiGraph.build(["a", "b"], [("e", "a", "b")])
-    s, prov = subdivide_with_provenance(g, 4)
-    assert prov == {"e:1": ("e", 1), "e:2": ("e", 2), "e:3": ("e", 3)}
+    s = subdivide(g, 4)
+    assert chain("e", 4, ":") == (["e:1", "e:2", "e:3"], ["e#0", "e#1", "e#2", "e#3"])
+    assert s.vertices == ("a", "b", "e:1", "e:2", "e:3")
+    assert [x.id for x in s.edges] == ["e#0", "e#1", "e#2", "e#3"]
     # chain runs tail -> head through the recorded positions
     by_id = s.edge_by_id
     assert (by_id["e#0"].tail, by_id["e#0"].head) == ("a", "e:1")
@@ -203,8 +206,8 @@ def test_chain_names_avoid_existing_vertices():
     g = MultiGraph.build(["x:1", "x::2", "b"], [("x", "x:1", "b"), ("y", "b", "x::2")])
     assert chain_separator(g, 2) == "::"
     assert chain_separator(g, 3) == ":::"
-    s, prov = subdivide_with_provenance(g, 3)
-    assert list(prov) == ["x:::1", "x:::2", "y:::1", "y:::2"]
+    s = subdivide(g, 3)
+    assert s.vertices[len(g.vertices):] == ("x:::1", "x:::2", "y:::1", "y:::2")
     # no clash for the positions in use: the default names stay
     assert chain_separator(MultiGraph.build(["x:3", "b"], [("x", "x:3", "b")]), 3) == ":"
     # an edge named like a vertex prefix only clashes when the whole name matches
@@ -216,7 +219,7 @@ def test_subdivide_preserves_euler_and_counts():
     for _ in range(40):
         g = random_multigraph(rng)
         e = rng.randint(1, 5)
-        s = subdivide_with_provenance(g, e)[0]
+        s = subdivide(g, e)
         assert len(s.vertices) == len(g.vertices) + len(g.edges) * (e - 1)
         assert len(s.edges) == e * len(g.edges)
         assert euler_characteristic(s) == euler_characteristic(g)
@@ -227,7 +230,7 @@ def test_subdivide_preserves_genus():
     for g_param in range(2, 7):
         graph, _ = mobius_ladder(g_param)
         for e in (2, 3, 5):
-            assert arithmetic_genus(subdivide_with_provenance(graph, e)[0]) == arithmetic_genus(graph)
+            assert arithmetic_genus(subdivide(graph, e)) == arithmetic_genus(graph)
 
 
 # isomorphism

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import pytest
 
 from conftest import corrupted_two_cycle_model, single_edge_swap_model
+from curveindex import invariants, multigraph
 from curveindex.constructions import Component, CurveModel, construct
-from curveindex.invariants import Case
+from curveindex.invariants import Case, splitting_report
 from curveindex.verify import (
     admissible_orders,
     check_model,
@@ -101,3 +103,31 @@ def test_run_verification_small():
 def test_run_verification_rejects_negative_genus():
     with pytest.raises(ValueError):
         run_verification(genus_max=-1)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls of ``module.name`` through every binding a curveindex module holds of it."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "curveindex"]:
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+def test_classifier_table_is_built_once(monkeypatch):
+    splits = count_calls(monkeypatch, invariants, "splits")
+    connectivity = count_calls(monkeypatch, multigraph, "is_connected")
+    m = construct(4, 6)
+    splitting_report(m)
+    assert len(splits) == 2 * 4  # e = 1 and e = 2 for each of the four divisors of 6
+    splits.clear()
+    cell = check_model(m, e_max=6)
+    assert cell.passed and len(cell.oracle_table) == 4 * 6
+    assert len(splits) <= 8
+    assert len(connectivity) <= 2
