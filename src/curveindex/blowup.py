@@ -10,12 +10,12 @@ extension of type ``(d, e)`` iff the ``d``-th power of the transported
 generator fixes a vertex of the subdivided graph, which is the whole oracle.
 That power fixes a vertex iff the length of the generator's cycle through it
 divides ``d``, so :func:`oracle_table` transports the generator once per
-``e``, walks its cycles once and reads off every ``d``; it never builds the
-subdivided graph, which only :func:`base_change` returns.  Beyond
-:func:`~curveindex.action.cycles` and :func:`~curveindex.action.map_power`
-(built on it), which are tested on their own, the oracle shares no logic
-with the closed-form classifier in :mod:`curveindex.invariants`, so
-agreement between the two is evidence.
+``e``, walks its cycles once and reads off every ``d``.  The transport works
+on positions, not names; only :func:`base_change` builds the subdivided
+graph and names the maps from it.  Beyond :func:`~curveindex.action.cycles`
+and :func:`~curveindex.action.map_power` (built on it), which are tested on
+their own, the oracle shares no logic with the closed-form classifier in
+:mod:`curveindex.invariants`, so agreement between the two is evidence.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .action import CyclicAction, cycles, map_power
 from .constructions import CurveModel
 from .invariants import ExtensionSpec, divisors
-from .multigraph import GraphError, MultiGraph, chain, chain_separator, subdivide
+from .multigraph import MultiGraph, subdivide
 
 
 @dataclass(frozen=True)
@@ -40,33 +40,24 @@ class BlownUpModel:
     action: CyclicAction
 
 
-def transport(m: CurveModel, e: int) -> CyclicAction:
+def transport(m: CurveModel, e: int) -> tuple[list[int], list[int]]:
     """The whole group's generator carried to the ``e``-fold subdivision of ``m.graph``.
 
-    Vertex and edge identifiers are those of
-    :func:`~curveindex.multigraph.subdivide`; ``e == 1`` returns the model's
-    own action.  Raises :class:`GraphError` if two vertices of the
-    subdivision would share a name.
+    Returns the vertex and edge permutations as positions in the tuples of
+    :func:`~curveindex.multigraph.subdivide`, which puts the chain of edge
+    ``k`` at vertex positions ``n + k(e-1) ...`` and segment positions ``ke ...``.
     """
-    if e == 1:
-        return m.action
-    gen_v = m.action.vertex_map
-    gen_e = m.action.edge_map
-    sep = chain_separator(m.graph, e)
-    names = {edge.id: chain(edge.id, e, sep) for edge in m.graph.edges}
-    vmap = {v: gen_v[v] for v in m.graph.vertices}
-    emap: dict[str, str] = {}
-    for edge in m.graph.edges:
-        image = m.graph.edge_by_id[gen_e[edge.id]]
-        inner, segments = names[edge.id]
-        image_inner, image_segments = names[image.id]
-        if gen_v[edge.tail] != image.tail:  # the image runs against its stored orientation
-            image_inner, image_segments = image_inner[::-1], image_segments[::-1]
-        vmap.update(zip(inner, image_inner))
-        emap.update(zip(segments, image_segments))
-    if len(vmap) < len(m.graph.vertices) + (e - 1) * len(m.graph.edges):
-        raise GraphError(f"chain vertex names of the {e}-fold subdivision collide with vertex identifiers")
-    return CyclicAction(m.action.order, vmap, emap)
+    g, gen_v = m.graph, m.action.vertex_map
+    n = len(g.vertices)
+    vertex_at = {v: i for i, v in enumerate(g.vertices)}
+    edge_at = {edge.id: k for k, edge in enumerate(g.edges)}
+    vperm, eperm = [vertex_at[gen_v[v]] for v in g.vertices], []
+    for edge in g.edges:
+        j = edge_at[m.action.edge_map[edge.id]]
+        step = 1 if gen_v[edge.tail] == g.edges[j].tail else -1  # -1: the image runs against its orientation
+        vperm += range(n + j * (e - 1), n + (j + 1) * (e - 1))[::step]
+        eperm += range(j * e, (j + 1) * e)[::step]
+    return vperm, eperm
 
 
 def _check_codegree(m: CurveModel, d: int) -> None:
@@ -79,28 +70,39 @@ def base_change(m: CurveModel, x: ExtensionSpec) -> BlownUpModel:
 
     The graph is subdivided ``x.e``-fold and the acting group shrinks to
     the subgroup addressed by ``x.d``, generated by the ``x.d``-th power of
-    the transported generator.
+    the transported generator, named here by the subdivided graph's ids.
     """
     _check_codegree(m, x.d)
-    gen = transport(m, x.e)
-    action = CyclicAction(m.action.order // x.d, map_power(gen.vertex_map, x.d), map_power(gen.edge_map, x.d))
-    return BlownUpModel(subdivide(m.graph, x.e), action)
+    graph = subdivide(m.graph, x.e)
+    gen_v, gen_e = m.action.vertex_map, m.action.edge_map
+    if x.e > 1:  # e == 1 keeps the model's own maps, in their own key order
+        vperm, eperm = transport(m, x.e)
+        gen_v = {v: graph.vertices[i] for v, i in zip(graph.vertices, vperm)}
+        gen_e = {edge.id: graph.edges[i].id for edge, i in zip(graph.edges, eperm)}
+    action = CyclicAction(m.action.order // x.d, map_power(gen_v, x.d), map_power(gen_e, x.d))
+    return BlownUpModel(graph, action)
+
+
+def _cycle_lengths(m: CurveModel, e: int) -> set[int]:
+    return {len(c) for c in cycles(dict(enumerate(transport(m, e)[0])))}
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """True iff the ``x.d``-th power of the transported generator fixes a vertex."""
     _check_codegree(m, x.d)
-    return any(w == v for v, w in map_power(transport(m, x.e).vertex_map, x.d).items())
+    return any(x.d % n == 0 for n in _cycle_lengths(m, x.e))
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
     """:func:`oracle_splits` for every ``d | I`` and ``1 <= e <= e_max``.
 
     Keys are ``(d, e)`` in sorted order; each ``e`` costs one transport and
-    one cycle walk of its vertex map.
+    one cycle walk of its vertex permutation.
     """
+    if e_max < 1:
+        raise ValueError(f"e_max must be at least 1, got {e_max}")
     depths = range(1, e_max + 1)
-    lengths = [{len(c) for c in cycles(transport(m, e).vertex_map)} for e in depths]
+    lengths = [_cycle_lengths(m, e) for e in depths]
     return {
         (d, e): any(d % n == 0 for n in lengths[e - 1])
         for d in divisors(m.action.order)

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the classification over a genus range")
     p.add_argument("--genus-max", type=int, default=12)
-    p.add_argument("--e-max", type=int, default=6)
+    p.add_argument("--e-max", type=int, default=6, help="largest ramification index checked (at least 1)")
     p.add_argument("--genus-one-cap", type=int, default=None,
                    help="largest index checked at genus 1 (default 2*genus_max + 2)")
     p.add_argument("--residue-q", type=_parse_q, action="append", default=None,

@@ -1,12 +1,13 @@
 import ast
 import inspect
 import random
+import sys
 from collections import defaultdict
 
 import pytest
 
 from conftest import are_isomorphic, chain_name_clash_model, circulant_model, single_edge_swap_model
-from curveindex import blowup, invariants
+from curveindex import blowup, invariants, multigraph
 from curveindex.action import CyclicAction, map_power, validate
 from curveindex.blowup import base_change, oracle_splits, oracle_table, transport
 from curveindex.constructions import as_model, construct, cycle_model
@@ -188,19 +189,34 @@ def test_oracle_table_matches_oracle_splits_at_depth_12():
 def test_transport_is_the_base_change_action(model_pool):
     for m in model_pool:
         for e in (1, 2, 3, 5):
-            action = transport(m, e)
+            vperm, eperm = transport(m, e)
+            graph = subdivide(m.graph, e)
+            assert sorted(vperm) == list(range(len(graph.vertices)))
+            assert sorted(eperm) == list(range(len(graph.edges)))
+            vmap = {v: graph.vertices[i] for v, i in zip(graph.vertices, vperm)}
+            emap = {edge.id: graph.edges[i].id for edge, i in zip(graph.edges, eperm)}
             blown = base_change(m, ExtensionSpec(1, e))
-            assert action.order == blown.action.order
-            assert list(action.vertex_map.items()) == list(blown.action.vertex_map.items())
-            assert list(action.edge_map.items()) == list(blown.action.edge_map.items())
-            assert action.vertex_map.keys() == blown.graph.vertex_set
-            assert action.edge_map.keys() == blown.graph.edge_by_id.keys()
+            assert blown.action.order == m.action.order
+            if e == 1:  # base change keeps the model's own maps, whose key order positions do not have
+                assert vmap == blown.action.vertex_map and emap == blown.action.edge_map
+            else:
+                assert list(vmap.items()) == list(blown.action.vertex_map.items())
+                assert list(emap.items()) == list(blown.action.edge_map.items())
+            assert vmap.keys() == blown.graph.vertex_set
+            assert emap.keys() == blown.graph.edge_by_id.keys()
 
 
-def test_transport_rejects_colliding_chain_names(monkeypatch):
-    monkeypatch.setattr(blowup, "chain_separator", lambda g, e: ":")
-    with pytest.raises(GraphError, match="collide"):
-        transport(chain_name_clash_model(), 2)
+def test_chain_name_collisions_are_refused_where_names_are_made(monkeypatch):
+    monkeypatch.setattr(multigraph, "chain_separator", lambda g, e: ":")
+    m = chain_name_clash_model()
+    with pytest.raises(GraphError, match="duplicate vertex identifiers"):
+        base_change(m, ExtensionSpec(1, 2))
+    assert oracle_table(m, 4) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2) for e in range(1, 5)}
+
+
+def test_oracle_table_rejects_depth_below_one():
+    with pytest.raises(ValueError, match="e_max must be at least 1, got 0"):
+        oracle_table(construct(4, 6), 0)
 
 
 def test_oracle_table_builds_no_graph(monkeypatch):
@@ -215,6 +231,18 @@ def test_oracle_table_builds_no_graph(monkeypatch):
         builds.append(cls)
         return build(vertices, edges)
 
+    names = []
+    modules = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "curveindex"]
+    for namer in (multigraph.chain, multigraph.chain_separator):
+        def counting_namer(*args, namer=namer):
+            names.append(namer.__name__)
+            return namer(*args)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is namer:
+                    monkeypatch.setattr(mod, key, counting_namer)
+
     m = construct(4, 6)
     monkeypatch.setattr(blowup, "subdivide", counting_subdivide)
     monkeypatch.setattr(MultiGraph, "build", classmethod(counting_build))
@@ -222,7 +250,9 @@ def test_oracle_table_builds_no_graph(monkeypatch):
     assert builds == []
     cell = check_model(m, e_max=6)
     assert cell.passed and len(cell.oracle_table) == 4 * 6
-    assert subdivisions == []
+    assert subdivisions == [] and names == []
+    base_change(m, ExtensionSpec(1, 2))  # the path that does name chains is counted
+    assert set(names) == {"chain", "chain_separator"}
 
 
 def test_check_model_subdivides_once_per_ramification_depth(monkeypatch):

@@ -183,6 +183,19 @@ def test_negative_genus_max_is_input_error(capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [["verify", "--genus-max", "2", "--e-max", "-1"], ["verify", "--model", "{m}", "--json", "--e-max", "0"]],
+    ids=["grid", "model"],
+)
+def test_e_max_below_one_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    code, out, err = run(capsys, *[a.replace("{m}", str(path)) for a in argv])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: e_max must be at least 1, got {argv[-1]}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["check", "{m}", "--residue-q", "1"], ["verify", "--model", "{m}", "--residue-q", "0"]],
     ids=["check", "verify"],
 )
