@@ -25,18 +25,19 @@ class ActionError(ValueError):
     """Invalid action parameters (bad order, bad subgroup degree, ...)."""
 
 
-def cycles(mapping: Mapping[str, str]) -> list[list[str]]:
-    """The cycles of a permutation given as a dict, each from its first key in dict order."""
-    seen: set[str] = set()
+def cycles(mapping: Mapping[str, str] | list[int]) -> list[list[str]] | list[list[int]]:
+    """The cycles of a dict, or of a list permuting ``range(len(list))``, each from its first key in order."""
+    domain = range(len(mapping)) if isinstance(mapping, list) else mapping
+    seen: set = set()
     out = []
-    for x in mapping:
+    for x in domain:
         if x in seen:
             continue
         cycle = [x]
         seen.add(x)
         y = mapping[x]
         while y != x:
-            if y in seen or y not in mapping:
+            if y in seen or y not in domain:
                 raise ActionError(f"not a permutation: the walk from {x!r} never returns")
             cycle.append(y)
             seen.add(y)

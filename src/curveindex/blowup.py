@@ -9,13 +9,13 @@ position-reversing otherwise.  The curve then has a rational point over an
 extension of type ``(d, e)`` iff the ``d``-th power of the transported
 generator fixes a vertex of the subdivided graph, which is the whole oracle.
 That power fixes a vertex iff the length of the generator's cycle through it
-divides ``d``, so :func:`oracle_table` transports the generator once per
-``e``, walks its cycles once and reads off every ``d``.  The transport works
-on positions, not names; only :func:`base_change` builds the subdivided
-graph and names the maps from it.  Beyond :func:`~curveindex.action.cycles`
-and :func:`~curveindex.action.map_power` (built on it), which are tested on
-their own, the oracle shares no logic with the closed-form classifier in
-:mod:`curveindex.invariants`, so agreement between the two is evidence.
+divides ``d``, so :func:`oracle_table` carries the generator onto positions
+once per model; each ``e`` appends only its chains to the vertex permutation
+and walks its cycles once, reading off every ``d``.  Only :func:`base_change`
+builds the edge permutation and the subdivided graph and names the maps.
+Beyond :func:`~curveindex.action.cycles` and :func:`~curveindex.action.map_power`
+(built on it), which are tested on their own, the oracle shares no logic with
+the classifier in :mod:`curveindex.invariants`, so their agreement is evidence.
 """
 
 from __future__ import annotations
@@ -40,6 +40,24 @@ class BlownUpModel:
     action: CyclicAction
 
 
+def _positions(m: CurveModel) -> tuple[list[int], list[tuple[int, int]]]:
+    """Each vertex's image position; each edge's, with step ``-1`` if the image runs against its orientation."""
+    g, gen_v = m.graph, m.action.vertex_map
+    vertex_at = {v: i for i, v in enumerate(g.vertices)}
+    edge_at = {edge.id: k for k, edge in enumerate(g.edges)}
+    images = [edge_at[m.action.edge_map[edge.id]] for edge in g.edges]
+    steps = [1 if gen_v[edge.tail] == g.edges[j].tail else -1 for edge, j in zip(g.edges, images)]
+    return [vertex_at[gen_v[v]] for v in g.vertices], list(zip(images, steps))
+
+
+def _chains(head: list[int], edges: list[tuple[int, int]], start: int, width: int) -> list[int]:
+    """``head`` followed by each edge's chain of ``width`` positions, counted from ``start``."""
+    perm = list(head)
+    for j, step in edges:
+        perm += range(start + j * width, start + (j + 1) * width)[::step]
+    return perm
+
+
 def transport(m: CurveModel, e: int) -> tuple[list[int], list[int]]:
     """The whole group's generator carried to the ``e``-fold subdivision of ``m.graph``.
 
@@ -47,17 +65,8 @@ def transport(m: CurveModel, e: int) -> tuple[list[int], list[int]]:
     :func:`~curveindex.multigraph.subdivide`, which puts the chain of edge
     ``k`` at vertex positions ``n + k(e-1) ...`` and segment positions ``ke ...``.
     """
-    g, gen_v = m.graph, m.action.vertex_map
-    n = len(g.vertices)
-    vertex_at = {v: i for i, v in enumerate(g.vertices)}
-    edge_at = {edge.id: k for k, edge in enumerate(g.edges)}
-    vperm, eperm = [vertex_at[gen_v[v]] for v in g.vertices], []
-    for edge in g.edges:
-        j = edge_at[m.action.edge_map[edge.id]]
-        step = 1 if gen_v[edge.tail] == g.edges[j].tail else -1  # -1: the image runs against its orientation
-        vperm += range(n + j * (e - 1), n + (j + 1) * (e - 1))[::step]
-        eperm += range(j * e, (j + 1) * e)[::step]
-    return vperm, eperm
+    vertices, edges = _positions(m)
+    return _chains(vertices, edges, len(vertices), e - 1), _chains([], edges, 0, e)
 
 
 def _check_codegree(m: CurveModel, d: int) -> None:
@@ -83,26 +92,26 @@ def base_change(m: CurveModel, x: ExtensionSpec) -> BlownUpModel:
     return BlownUpModel(graph, action)
 
 
-def _cycle_lengths(m: CurveModel, e: int) -> set[int]:
-    return {len(c) for c in cycles(dict(enumerate(transport(m, e)[0])))}
+def _cycle_lengths(vertices: list[int], edges: list[tuple[int, int]], e: int) -> set[int]:
+    return {len(c) for c in cycles(_chains(vertices, edges, len(vertices), e - 1))}
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """True iff the ``x.d``-th power of the transported generator fixes a vertex."""
     _check_codegree(m, x.d)
-    return any(x.d % n == 0 for n in _cycle_lengths(m, x.e))
+    return any(x.d % n == 0 for n in _cycle_lengths(*_positions(m), x.e))
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
     """:func:`oracle_splits` for every ``d | I`` and ``1 <= e <= e_max``.
 
-    Keys are ``(d, e)`` in sorted order; each ``e`` costs one transport and
-    one cycle walk of its vertex permutation.
+    Keys are ``(d, e)`` in sorted order.  One pass over ``m`` serves every
+    ``e``, which costs its vertex permutation's chains and one cycle walk.
     """
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    depths = range(1, e_max + 1)
-    lengths = [_cycle_lengths(m, e) for e in depths]
+    depths, positions = range(1, e_max + 1), _positions(m)
+    lengths = [_cycle_lengths(*positions, e) for e in depths]
     return {
         (d, e): any(d % n == 0 for n in lengths[e - 1])
         for d in divisors(m.action.order)

@@ -183,6 +183,14 @@ def circulant_model(order, k, rng):
     return as_model(graph, powered, claimed=(half + 1, order // k))
 
 
+def naive_power(mapping, k):
+    """The ``k``-fold composite of a permutation by repeated composition, without walking cycles."""
+    out = {x: x for x in mapping}
+    for _ in range(k):
+        out = {x: mapping[y] for x, y in out.items()}
+    return out
+
+
 def orbit_sizes(action, d=1):
     """Vertex orbit sizes under the subgroup generated by the ``d``-th power of the generator."""
     return {v: len(c) for c in cycles(map_power(action.vertex_map, d)) for v in c}

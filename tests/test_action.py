@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     acts_freely_on_vertices,
     are_isomorphic,
+    naive_power,
     orbit_sizes,
     random_voltage_models,
     single_edge_swap_model,
@@ -60,13 +61,6 @@ def test_nonpositive_order_invalid():
 
 # cycles and powers
 
-def naive_power(mapping, k):
-    out = {x: x for x in mapping}
-    for _ in range(k):
-        out = {x: mapping[y] for x, y in out.items()}
-    return out
-
-
 def random_permutation(rng, n):
     keys = [f"x{i}" for i in range(n)]
     images = keys[:]
@@ -105,6 +99,18 @@ def test_cycles_reject_non_permutations():
         cycles({"a": "b", "b": "b"})
     with pytest.raises(ActionError):
         cycles({"a": "b"})
+
+
+def test_cycles_of_a_list_walk_its_positions():
+    rng = random.Random(8)
+    for n in (0, 1, 2, 5, 40):
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert cycles(perm) == cycles(dict(enumerate(perm)))
+    for bad in ([1, 1], [1], [-1, 0], [2, 0]):
+        with pytest.raises(ActionError):
+            cycles(bad)
 
 
 def test_cached_orbits_and_exact_order(model_pool):

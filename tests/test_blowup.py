@@ -6,9 +6,9 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import are_isomorphic, chain_name_clash_model, circulant_model, single_edge_swap_model
+from conftest import are_isomorphic, chain_name_clash_model, circulant_model, naive_power, single_edge_swap_model
 from curveindex import blowup, invariants, multigraph
-from curveindex.action import CyclicAction, map_power, validate
+from curveindex.action import CyclicAction, validate
 from curveindex.blowup import base_change, oracle_splits, oracle_table, transport
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
@@ -125,10 +125,12 @@ def naive_base_change(m, x):
     """Power first, then subdivide and transport the subgroup's generator.
 
     Also returns the ids the naming rule gives the fresh vertices and the
-    edges of the subdivision, in the order the subdivision adds them.
+    edges of the subdivision, in the order the subdivision adds them.  The
+    power is taken by repeated composition, so the vertex map shares no code
+    with the oracle.
     """
-    gen_v = map_power(m.action.vertex_map, x.d)
-    gen_e = map_power(m.action.edge_map, x.d)
+    gen_v = naive_power(m.action.vertex_map, x.d)
+    gen_e = naive_power(m.action.edge_map, x.d)
     sub_order = m.action.order // x.d
     fresh = [f"{edge.id}:{p}" for edge in m.graph.edges for p in range(1, x.e)]
     if x.e == 1:
@@ -178,6 +180,16 @@ def test_oracle_table_matches_oracle_splits(model_pool):
     circulants = [circulant_model(24, 1, rng), circulant_model(30, 2, rng)]
     for m in list(model_pool) + circulants:
         assert_oracle_table_matches_oracle_splits(m, 6)
+
+
+def test_oracle_table_matches_the_named_subdivision(model_pool):
+    """Each cell against a fixed vertex of the naively transported, named subgroup generator."""
+    rng = random.Random(5)
+    circulants = [(circulant_model(24, 1, rng), 6), (circulant_model(30, 2, rng), 6)]
+    for m, e_max in [(m, 4) for m in model_pool] + circulants:
+        for (d, e), verdict in oracle_table(m, e_max).items():
+            vertex_map = naive_base_change(m, ExtensionSpec(d, e))[1].vertex_map
+            assert verdict == any(w == v for v, w in vertex_map.items()), (d, e)
 
 
 def test_oracle_table_matches_oracle_splits_at_depth_12():
@@ -243,16 +255,23 @@ def test_oracle_table_builds_no_graph(monkeypatch):
                 if value is namer:
                     monkeypatch.setattr(mod, key, counting_namer)
 
+    transports = []
+
+    def counting_transport(m, e):
+        transports.append(e)
+        return transport(m, e)
+
     m = construct(4, 6)
+    monkeypatch.setattr(blowup, "transport", counting_transport)
     monkeypatch.setattr(blowup, "subdivide", counting_subdivide)
     monkeypatch.setattr(MultiGraph, "build", classmethod(counting_build))
     assert oracle_table(m, 6) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2, 3, 6) for e in range(1, 7)}
     assert builds == []
     cell = check_model(m, e_max=6)
     assert cell.passed and len(cell.oracle_table) == 4 * 6
-    assert subdivisions == [] and names == []
-    base_change(m, ExtensionSpec(1, 2))  # the path that does name chains is counted
-    assert set(names) == {"chain", "chain_separator"}
+    assert subdivisions == [] and names == [] and transports == []
+    base_change(m, ExtensionSpec(1, 2))  # the path that does name chains and build an edge permutation is counted
+    assert set(names) == {"chain", "chain_separator"} and transports == [2]
 
 
 def test_check_model_subdivides_once_per_ramification_depth(monkeypatch):
