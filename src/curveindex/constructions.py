@@ -61,6 +61,9 @@ class Component:
             raise ValueError("ns_index and multiplicity must be positive")
 
 
+UNIT = Component()  # ns_index = multiplicity = 1; one instance serves every vertex, Component being frozen
+
+
 @dataclass(frozen=True)
 class CurveModel:
     """A connected multigraph with a cyclic action and per-component data."""
@@ -71,14 +74,14 @@ class CurveModel:
     claimed: tuple[int, int] | None = None  # (genus, index) the model is built to have
 
     def component(self, v: str) -> Component:
-        return self.components.get(v, Component())
+        return self.components.get(v, UNIT)
 
 
 def as_model(
     graph: MultiGraph, action: CyclicAction, claimed: tuple[int, int] | None = None
 ) -> CurveModel:
     """Wrap a graph and action with unit component data on every vertex."""
-    return CurveModel(graph, action, {v: Component() for v in graph.vertices}, claimed)
+    return CurveModel(graph, action, dict.fromkeys(graph.vertices, UNIT), claimed)
 
 
 def cayley_graph(gs: GeneratingSet) -> tuple[MultiGraph, CyclicAction]:

@@ -41,6 +41,8 @@ class Edge:
 
 @dataclass(frozen=True)
 class MultiGraph:
+    """Vertices and edges; derived data (edges by id, degrees, adjacency, connectivity) is cached on first use."""
+
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
@@ -91,6 +93,18 @@ class MultiGraph:
                 adj[e.head].append(e.tail)
         return {v: tuple(ns) for v, ns in adj.items()}
 
+    @cached_property
+    def connected(self) -> bool:
+        seen = {self.vertices[0]}
+        queue = deque(seen)
+        while queue:
+            v = queue.popleft()
+            for w in self.adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) == len(self.vertices)
+
 
 def euler_characteristic(g: MultiGraph) -> int:
     """Number of vertices minus number of edges."""
@@ -98,15 +112,8 @@ def euler_characteristic(g: MultiGraph) -> int:
 
 
 def is_connected(g: MultiGraph) -> bool:
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g.vertices)
+    """Whether a breadth-first search from the first vertex reaches every vertex (cached per graph)."""
+    return g.connected
 
 
 def arithmetic_genus(g: MultiGraph) -> int:
@@ -207,7 +214,7 @@ def from_json_obj(obj: dict) -> MultiGraph:
         if (
             not isinstance(ends, list)
             or len(ends) != 2
-            or not all(isinstance(x, str) for x in ends)
+            or not all(map(isinstance, ends, (str, str)))
         ):
             raise GraphError(f"edges[{i}].ends must be a pair of vertex ids")
         edges.append((item["id"], ends[0], ends[1]))

@@ -14,17 +14,19 @@ Layout::
 ``action.order`` is at most :data:`MAX_ORDER`.
 Parsing validates everything a :class:`CurveModel` promises (graph shape,
 action laws, connectivity) and raises :class:`ModelFormatError` with the
-offending location.
+offending location.  A lawful file costs the per-item type checks and one
+pass per law; only a failed law is scanned item by item for the message.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 from . import multigraph
 from .action import CyclicAction, validate
-from .constructions import Component, CurveModel
+from .constructions import UNIT, Component, CurveModel
 from .multigraph import GraphError, is_connected
 
 
@@ -57,9 +59,7 @@ def action_from_obj(obj: dict) -> CyclicAction:
     maps = {}
     for key in ("vertex_map", "edge_map"):
         raw = obj.get(key)
-        if not isinstance(raw, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
-        ):
+        if not isinstance(raw, dict) or not all(map(isinstance, (*raw, *raw.values()), repeat(str))):
             raise ModelFormatError(f"action.{key} must map identifiers to identifiers")
         maps[key] = dict(raw)
     return CyclicAction(order, maps["vertex_map"], maps["edge_map"])
@@ -98,7 +98,7 @@ def model_from_obj(obj: dict) -> CurveModel:
     if not is_connected(graph):
         raise ModelFormatError("graph must be connected")
 
-    components = {v: Component() for v in graph.vertices}
+    components = dict.fromkeys(graph.vertices, UNIT)
     raw = obj.get("components", {})
     if not isinstance(raw, dict):
         raise ModelFormatError("components must be an object keyed by vertex id")
@@ -112,7 +112,7 @@ def model_from_obj(obj: dict) -> CurveModel:
         if not _is_int(ns) or not _is_int(mult):
             raise ModelFormatError(f"components[{v!r}]: ns_index/multiplicity must be integers")
         try:
-            components[v] = Component(ns, mult)
+            components[v] = UNIT if ns == mult == 1 else Component(ns, mult)
         except ValueError as err:
             raise ModelFormatError(f"components[{v!r}]: {err}") from None
 

@@ -4,7 +4,14 @@ from collections import Counter
 
 import pytest
 
-from curveindex.action import CyclicAction, cycles, lift_voltage_graph, map_power
+from curveindex.action import (
+    CyclicAction,
+    ValidationReport,
+    Violation,
+    cycles,
+    lift_voltage_graph,
+    map_power,
+)
 from curveindex.constructions import (
     Component,
     CurveModel,
@@ -189,6 +196,57 @@ def naive_power(mapping, k):
     for _ in range(k):
         out = {x: mapping[y] for x, y in out.items()}
     return out
+
+
+def _naive_bijection_violations(mapping, domain, law):
+    out = []
+    missing = domain - mapping.keys()
+    extra = mapping.keys() - domain
+    for x in sorted(missing):
+        out.append(Violation(law, x, "no image assigned"))
+    for x in sorted(extra):
+        out.append(Violation(law, x, "not in the graph"))
+    if not missing and not extra:
+        image = set(mapping.values())
+        for x in sorted(domain - image):
+            out.append(Violation(law, x, "never hit: map is not onto"))
+    return out
+
+
+def naive_validate(g, a):
+    """``validate`` itemized element by element, law by law, with no whole-law test first."""
+    violations = []
+    if a.order < 1:
+        violations.append(Violation("order", "", f"order must be positive, got {a.order}"))
+        return ValidationReport(tuple(violations))
+
+    violations += _naive_bijection_violations(a.vertex_map, set(g.vertices), "vertex-bijection")
+    violations += _naive_bijection_violations(a.edge_map, set(g.edge_by_id), "edge-bijection")
+    if violations:
+        return ValidationReport(tuple(violations))
+
+    for e in g.edges:
+        image = g.edge_by_id[a.edge_map[e.id]]
+        expected = frozenset((a.vertex_map[e.tail], a.vertex_map[e.head]))
+        if image.ends != expected:
+            violations.append(
+                Violation(
+                    "compatibility",
+                    e.id,
+                    f"endpoints {sorted(e.ends)} map to {sorted(expected)} "
+                    f"but edge image {image.id!r} joins {sorted(image.ends)}",
+                )
+            )
+
+    vertex_orbit = {x: len(c) for c in cycles(a.vertex_map) for x in c}
+    edge_orbit = {x: len(c) for c in cycles(a.edge_map) for x in c}
+    for v in a.vertex_map:
+        if a.order % vertex_orbit[v]:
+            violations.append(Violation("order", v, f"vertex not fixed by the {a.order}-th iterate"))
+    for e in a.edge_map:
+        if a.order % edge_orbit[e]:
+            violations.append(Violation("order", e, f"edge not fixed by the {a.order}-th iterate"))
+    return ValidationReport(tuple(violations))
 
 
 def orbit_sizes(action, d=1):

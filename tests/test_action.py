@@ -4,8 +4,11 @@ import pytest
 
 from conftest import (
     acts_freely_on_vertices,
+    admissible_cells,
     are_isomorphic,
+    circulant_model,
     naive_power,
+    naive_validate,
     orbit_sizes,
     random_voltage_models,
     single_edge_swap_model,
@@ -20,9 +23,9 @@ from curveindex.action import (
     stabilized_edges,
     validate,
 )
-from curveindex.constructions import coathanger_chain, cycle_model, mobius_ladder
+from curveindex.constructions import coathanger_chain, construct, cycle_model, mobius_ladder
 from curveindex.invariants import divisors
-from curveindex.multigraph import MultiGraph, is_connected
+from curveindex.multigraph import Edge, MultiGraph, is_connected
 
 
 def test_rotation_on_six_cycle_validates():
@@ -57,6 +60,45 @@ def test_missing_and_non_onto_maps_reported():
 def test_nonpositive_order_invalid():
     graph = MultiGraph.build(["a"], [])
     assert not validate(graph, CyclicAction(0, {"a": "a"}, {})).ok
+
+
+def corruptions(graph, action, rng):
+    """Seeded breaks of each law ``validate`` checks, plus one lawful flip of a loop-free edge's stored orientation."""
+    order, vmap, emap = action.order, action.vertex_map, action.edge_map
+
+    def broken(images, key, other):  # two images swapped, an image unknown to the graph, a key dropped
+        swapped = {**images, key: images[other], other: images[key]}
+        return [swapped, {**images, key: "unknown?"}, {k: w for k, w in images.items() if k != key}]
+
+    cases = [(graph, CyclicAction(order, images, emap)) for images in broken(vmap, *rng.sample(list(vmap), 2))]
+    cases += [(graph, CyclicAction(order, vmap, images)) for images in broken(emap, *rng.sample(list(emap), 2))]
+    cases.append((graph, CyclicAction(order + 1, vmap, emap)))  # no cycle length > 1 dividing I divides I + 1
+    flip = rng.choice([e for e in graph.edges if not e.is_loop])
+    edges = tuple(Edge(e.id, e.head, e.tail) if e is flip else e for e in graph.edges)
+    cases.append((MultiGraph(graph.vertices, edges), action))
+    return cases
+
+
+def test_validate_matches_naive_reference_on_lawful_models(model_pool):
+    models = list(model_pool) + [construct(g, i) for g, i in admissible_cells(12)]
+    for m in models:
+        report = validate(m.graph, m.action)
+        assert report.ok and report == naive_validate(m.graph, m.action)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_matches_naive_reference_on_corruptions(seed):
+    rng = random.Random(seed)
+    bases = [construct(4, 6), circulant_model(24, 2, rng), circulant_model(30, 1, rng)]
+    for m in bases:
+        cases = corruptions(m.graph, m.action, rng)
+        for graph, action in cases:
+            assert validate(graph, action) == naive_validate(graph, action)
+        assert [validate(g, a).ok for g, a in cases] == [False] * 7 + [True]
+    loops = MultiGraph.build(["a"], [("l1", "a", "a"), ("l2", "a", "a")])
+    edges_only = CyclicAction(1, {"a": "a"}, {"l1": "l2", "l2": "l1"})  # only an edge cycle fails the order
+    for a in (edges_only, CyclicAction(0, {"a": "a"}, {"l1": "l1", "l2": "l2"})):
+        assert not validate(loops, a).ok and validate(loops, a) == naive_validate(loops, a)
 
 
 # cycles and powers

@@ -274,19 +274,6 @@ def test_oracle_table_builds_no_graph(monkeypatch):
     assert set(names) == {"chain", "chain_separator"} and transports == [2]
 
 
-def test_check_model_subdivides_once_per_ramification_depth(monkeypatch):
-    calls = []
-
-    def counting(g, e):
-        calls.append(e)
-        return subdivide(g, e)
-
-    monkeypatch.setattr(blowup, "subdivide", counting)
-    cell = check_model(construct(4, 6), e_max=6)
-    assert cell.passed and len(cell.oracle_table) == 4 * 6
-    assert len(calls) <= 5
-
-
 def test_chain_names_avoid_vertex_ids():
     m = chain_name_clash_model()
     blown = base_change(m, ExtensionSpec(1, 2))

@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from conftest import corrupted_two_cycle_model
 from curveindex.cli import main
 from curveindex.constructions import Component, construct
+from curveindex.invariants import index, splitting_report
+from curveindex.multigraph import MultiGraph
 from curveindex.serialize import (
     ModelFormatError,
     dumps_model,
@@ -13,6 +16,7 @@ from curveindex.serialize import (
     model_to_obj,
     save_model,
 )
+from curveindex.verify import check_model
 
 
 def test_roundtrip_is_identifier_exact(constructed_models):
@@ -41,6 +45,30 @@ def test_components_default_when_missing():
     m = model_from_obj(obj)
     assert m.component("0") == Component(ns_index=2, multiplicity=1)
     assert m.component("1") == Component()
+
+
+def test_unit_components_are_shared(tmp_path, monkeypatch):
+    built = []
+    post_init = Component.__post_init__
+    monkeypatch.setattr(Component, "__post_init__", lambda self: built.append(self) or post_init(self))
+    path = tmp_path / "model.json"
+    save_model(construct(101, 200), path)
+    assert all(entry == {"ns_index": 1, "multiplicity": 1} for entry in json.loads(path.read_text())["components"].values())
+    m = load_model(path)
+    assert built == []
+    assert index(m) == 200 and splitting_report(m).index == 200
+    assert built == []
+
+
+def test_connectivity_is_searched_once_per_graph(tmp_path, monkeypatch):
+    searched = []
+    search = MultiGraph.connected.func
+    monkeypatch.setattr(MultiGraph.connected, "func", lambda g: searched.append(g) or search(g))
+    path = tmp_path / "model.json"
+    save_model(construct(4, 6), path)
+    m = load_model(path)
+    assert check_model(m, residue_cardinalities=(math.inf, 3)).passed
+    assert len(searched) == 1 and searched[0] is m.graph
 
 
 def test_claimed_is_optional():
