@@ -10,8 +10,10 @@ extension of type ``(d, e)`` iff the ``d``-th power of the transported
 generator fixes a vertex of the subdivided graph, which is the whole oracle.
 That power fixes a vertex iff the length of the generator's cycle through it
 divides ``d``, so :func:`oracle_table` carries the generator onto positions
-once per model; each ``e`` appends only its chains to the vertex permutation
-and walks its cycles once, reading off every ``d``.  Only :func:`base_change`
+once per model.  The model's own vertices map among themselves at every
+depth, so their cycles are walked once per call; each ``e`` lays out only its
+chains, which also map among themselves, walks their cycles once, and reads
+every ``d`` off the two sets of cycle lengths.  Only :func:`base_change`
 builds the edge permutation and the subdivided graph and names the maps.
 Beyond :func:`~curveindex.action.cycles` and :func:`~curveindex.action.map_power`
 (built on it), which are tested on their own, the oracle shares no logic with
@@ -92,26 +94,38 @@ def base_change(m: CurveModel, x: ExtensionSpec) -> BlownUpModel:
     return BlownUpModel(graph, action)
 
 
-def _cycle_lengths(vertices: list[int], edges: list[tuple[int, int]], e: int) -> set[int]:
-    return {len(c) for c in cycles(_chains(vertices, edges, len(vertices), e - 1))}
+def _lengths(perm: list[int]) -> set[int]:
+    return {len(c) for c in cycles(perm)}
+
+
+def _depth_lengths(own: set[int], edges: list[tuple[int, int]], e: int) -> set[int]:
+    """Cycle lengths of the transported generator at depth ``e``, given those on the model's own vertices.
+
+    The model's vertices map among themselves and the chains among
+    themselves, so only the chains, renumbered from 0, are walked.
+    """
+    return own | _lengths(_chains([], edges, 0, e - 1)) if e > 1 else own
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """True iff the ``x.d``-th power of the transported generator fixes a vertex."""
     _check_codegree(m, x.d)
-    return any(x.d % n == 0 for n in _cycle_lengths(*_positions(m), x.e))
+    vertices, edges = _positions(m)
+    return any(x.d % n == 0 for n in _depth_lengths(_lengths(vertices), edges, x.e))
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
     """:func:`oracle_splits` for every ``d | I`` and ``1 <= e <= e_max``.
 
     Keys are ``(d, e)`` in sorted order.  One pass over ``m`` serves every
-    ``e``, which costs its vertex permutation's chains and one cycle walk.
+    ``e``: the model's own vertices are walked once, and each ``e`` costs
+    only its chains and one cycle walk of them.
     """
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    depths, positions = range(1, e_max + 1), _positions(m)
-    lengths = [_cycle_lengths(*positions, e) for e in depths]
+    depths, (vertices, edges) = range(1, e_max + 1), _positions(m)
+    own = _lengths(vertices)
+    lengths = [_depth_lengths(own, edges, e) for e in depths]
     return {
         (d, e): any(d % n == 0 for n in lengths[e - 1])
         for d in divisors(m.action.order)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .action import CyclicAction, map_power
+from .action import CyclicAction, ValidationReport, map_power, validate
 from .multigraph import MultiGraph, degree, is_connected
 
 
@@ -75,6 +76,11 @@ class CurveModel:
 
     def component(self, v: str) -> Component:
         return self.components.get(v, UNIT)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate(graph, action)``, made once per model (a model file's parser stores the one it made)."""
+        return validate(self.graph, self.action)
 
 
 def as_model(

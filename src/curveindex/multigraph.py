@@ -14,16 +14,19 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain as concat, repeat
+from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
     """Malformed graph data or an invalid graph operation."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One undirected edge; ``tail == head`` makes it a loop."""
+class Edge(NamedTuple):
+    """One undirected edge; ``tail == head`` makes it a loop.
+
+    A named tuple, so immutable, and built without a per-field ``object.__setattr__``.
+    """
 
     id: str
     tail: str
@@ -64,7 +67,7 @@ class MultiGraph:
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "MultiGraph":
         """Construct from vertex ids and ``(edge id, tail, head)`` triples."""
-        return cls(tuple(vertices), tuple(Edge(i, t, h) for i, t, h in edges))
+        return cls(tuple(vertices), tuple(map(Edge._make, edges)))
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -201,24 +204,42 @@ def from_json_obj(obj: dict) -> MultiGraph:
         raise GraphError(f"graph object lacks key {missing}") from None
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise GraphError("graph.vertices and graph.edges must be lists")
-    vertices = []
+    vertices, edges = _column(raw_vertices, "id", str), _edge_triples(raw_edges)
+    if vertices is None or edges is None:
+        _raise_first_bad_entry(raw_vertices, raw_edges)
+    return MultiGraph.build(vertices, edges)
+
+
+# A graph document is type-checked a whole list at a time; only a document
+# that fails is scanned item by item, for the first bad entry and its message.
+
+def _column(items: list, key: str, kind: type) -> list | None:
+    """``item[key]`` for every item, or None unless every item is an object whose ``key`` is a ``kind``."""
+    if not all(map(isinstance, items, repeat(dict))):
+        return None
+    column = list(map(dict.get, items, repeat(key)))
+    return column if all(map(isinstance, column, repeat(kind))) else None
+
+
+def _edge_triples(raw_edges: list) -> Iterable[tuple[str, str, str]] | None:
+    """``(id, tail, head)`` for every edge, or None unless each is an object with a string id and two string ends."""
+    ids, ends = _column(raw_edges, "id", str), _column(raw_edges, "ends", list)
+    if ids is None or ends is None or set(map(len, ends)) - {2}:
+        return None
+    flat = list(concat.from_iterable(ends))
+    return zip(ids, flat[::2], flat[1::2]) if all(map(isinstance, flat, repeat(str))) else None
+
+
+def _raise_first_bad_entry(raw_vertices: list, raw_edges: list) -> None:
     for i, item in enumerate(raw_vertices):
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise GraphError(f"vertices[{i}] must be an object with a string 'id'")
-        vertices.append(item["id"])
-    edges = []
     for i, item in enumerate(raw_edges):
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise GraphError(f"edges[{i}] must be an object with a string 'id'")
         ends = item.get("ends")
-        if (
-            not isinstance(ends, list)
-            or len(ends) != 2
-            or not all(map(isinstance, ends, (str, str)))
-        ):
+        if not isinstance(ends, list) or len(ends) != 2 or not all(map(isinstance, ends, (str, str))):
             raise GraphError(f"edges[{i}].ends must be a pair of vertex ids")
-        edges.append((item["id"], ends[0], ends[1]))
-    return MultiGraph.build(vertices, edges)
 
 
 def _quoted(text: str) -> str:

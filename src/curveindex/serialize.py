@@ -14,8 +14,10 @@ Layout::
 ``action.order`` is at most :data:`MAX_ORDER`.
 Parsing validates everything a :class:`CurveModel` promises (graph shape,
 action laws, connectivity) and raises :class:`ModelFormatError` with the
-offending location.  A lawful file costs the per-item type checks and one
-pass per law; only a failed law is scanned item by item for the message.
+offending location.  A lawful file costs whole-list type checks of the
+graph and action, a check per component entry and one pass per law; only a
+failed list or law is scanned item by item for the message.  The model keeps its validation report
+(:attr:`CurveModel.validation`), so checking it later validates nothing again.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ def model_from_obj(obj: dict) -> CurveModel:
         ):
             raise ModelFormatError("claimed must carry a non-negative genus and a positive index")
         claimed = (raw_claim["genus"], raw_claim["index"])
-    return CurveModel(graph, action, components, claimed)
+    model = CurveModel(graph, action, components, claimed)
+    vars(model)["validation"] = report  # the cached property: the model's checks need not validate again
+    return model
 
 
 def dumps_model(m: CurveModel) -> str:

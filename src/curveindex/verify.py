@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .action import validate
 from .blowup import oracle_table
 from .constructions import CurveModel, check_realizability, construct
 from .invariants import Case, ExtensionSpec, divisors, main_theorem_prediction, splitting_report
@@ -96,7 +95,7 @@ def check_model(
         euler=euler_characteristic(m.graph), max_degree=max_degree,
     )
 
-    report = validate(m.graph, m.action)
+    report = m.validation
     connected = is_connected(m.graph)
     if not (report.ok and connected):
         violations = [f"action invalid: {v.law}[{v.subject}] {v.detail}" for v in report.violations[:8]]

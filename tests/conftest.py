@@ -21,7 +21,7 @@ from curveindex.constructions import (
     construct,
     cycle_model,
 )
-from curveindex.multigraph import MultiGraph, is_connected
+from curveindex.multigraph import GraphError, MultiGraph, is_connected
 from curveindex.verify import admissible_orders
 
 
@@ -247,6 +247,37 @@ def naive_validate(g, a):
         if a.order % edge_orbit[e]:
             violations.append(Violation("order", e, f"edge not fixed by the {a.order}-th iterate"))
     return ValidationReport(tuple(violations))
+
+
+def naive_from_json_obj(obj):
+    """``multigraph.from_json_obj`` type-checking item by item, with no whole-list test first."""
+    if not isinstance(obj, dict):
+        raise GraphError("graph object must be a JSON object")
+    try:
+        raw_vertices = obj["vertices"]
+        raw_edges = obj["edges"]
+    except KeyError as missing:
+        raise GraphError(f"graph object lacks key {missing}") from None
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphError("graph.vertices and graph.edges must be lists")
+    vertices = []
+    for i, item in enumerate(raw_vertices):
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise GraphError(f"vertices[{i}] must be an object with a string 'id'")
+        vertices.append(item["id"])
+    edges = []
+    for i, item in enumerate(raw_edges):
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise GraphError(f"edges[{i}] must be an object with a string 'id'")
+        ends = item.get("ends")
+        if (
+            not isinstance(ends, list)
+            or len(ends) != 2
+            or not all(map(isinstance, ends, (str, str)))
+        ):
+            raise GraphError(f"edges[{i}].ends must be a pair of vertex ids")
+        edges.append((item["id"], ends[0], ends[1]))
+    return MultiGraph.build(vertices, edges)
 
 
 def orbit_sizes(action, d=1):

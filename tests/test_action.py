@@ -155,6 +155,15 @@ def test_cycles_of_a_list_walk_its_positions():
             cycles(bad)
 
 
+def test_cycles_reject_what_a_whole_law_test_must_catch():
+    """Each map passes the checks a partial law test would make, and an unchecked walk would not raise on it."""
+    with pytest.raises(ActionError, match="the walk from 'c' never returns"):
+        cycles({"a": "b", "b": "a", "c": "a"})  # keys and values have the same length; "c" is never hit
+    for bad, start in (([2, 0, 0], 1), ([1, -1, 0], 0), ([1, 3, 0], 0)):  # a duplicate, a negative, out of range
+        with pytest.raises(ActionError, match=f"the walk from {start} never returns"):
+            cycles(bad)
+
+
 def test_cached_orbits_and_exact_order(model_pool):
     for m in model_pool:
         a = m.action

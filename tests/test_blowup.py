@@ -8,7 +8,7 @@ import pytest
 
 from conftest import are_isomorphic, chain_name_clash_model, circulant_model, naive_power, single_edge_swap_model
 from curveindex import blowup, invariants, multigraph
-from curveindex.action import CyclicAction, validate
+from curveindex.action import CyclicAction, cycles, validate
 from curveindex.blowup import base_change, oracle_splits, oracle_table, transport
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
@@ -272,6 +272,22 @@ def test_oracle_table_builds_no_graph(monkeypatch):
     assert subdivisions == [] and names == [] and transports == []
     base_change(m, ExtensionSpec(1, 2))  # the path that does name chains and build an edge permutation is counted
     assert set(names) == {"chain", "chain_separator"} and transports == [2]
+
+
+def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch):
+    walked = []
+
+    def counting_cycles(perm):
+        walked.append(len(perm))
+        return cycles(perm)
+
+    monkeypatch.setattr(blowup, "cycles", counting_cycles)
+    for m, e_max in ((construct(4, 6), 6), (circulant_model(60, 2, random.Random(3)), 12)):
+        walked.clear()
+        oracle_table(m, e_max)
+        n, k = len(m.graph.vertices), len(m.graph.edges)
+        assert sum(walked) == n + sum(k * (e - 1) for e in range(1, e_max + 1))
+        assert walked == [n] + [k * (e - 1) for e in range(2, e_max + 1)]
 
 
 def test_chain_names_avoid_vertex_ids():

@@ -1,12 +1,15 @@
+import json
 import math
 import sys
 
 import pytest
 
 from conftest import corrupted_two_cycle_model, single_edge_swap_model
-from curveindex import invariants, multigraph
+from curveindex import action, invariants, multigraph
+from curveindex.cli import main
 from curveindex.constructions import Component, CurveModel, construct
 from curveindex.invariants import Case, splitting_report
+from curveindex.serialize import model_to_obj, save_model
 from curveindex.verify import (
     admissible_orders,
     check_model,
@@ -131,3 +134,22 @@ def test_classifier_table_is_built_once(monkeypatch):
     assert cell.passed and len(cell.oracle_table) == 4 * 6
     assert len(splits) <= 8
     assert len(connectivity) <= 2
+
+
+def test_each_model_is_validated_once(tmp_path, monkeypatch, capsys):
+    validations = count_calls(monkeypatch, action, "validate")
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    assert main(["verify", "--model", str(path), "--e-max", "3", "--residue-q", "inf", "--residue-q", "3"]) == 0
+    assert len(validations) == 1
+    validations.clear()
+    report = run_verification(genus_max=3, e_max=2)
+    assert report.passed and len(validations) == len(report.cells) == 15
+
+    obj = model_to_obj(construct(4, 6))
+    obj["action"]["edge_map"]["c0"], obj["action"]["edge_map"]["c1"] = "c0", "c2"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    validations.clear()
+    assert main(["verify", "--model", str(path)]) == 2
+    assert len(validations) == 1 and "action fails validation: edge-bijection[c1]" in capsys.readouterr().err
