@@ -12,18 +12,30 @@ Layout::
 
 ``components`` entries default to 1/1 when omitted; ``claimed`` is optional;
 ``action.order`` is at most :data:`MAX_ORDER`.
-Parsing validates everything a :class:`CurveModel` promises (graph shape,
-action laws, connectivity) and raises :class:`ModelFormatError` with the
-offending location.  A lawful file costs whole-list type checks of the
+
+Writing: a model file is ``json.dumps(model_to_obj(m), indent=2,
+sort_keys=True)`` plus a newline (keys sorted, two-space indent, ASCII-only
+escapes).  :func:`dumps_model` writes that layout straight from the model,
+one joined list of entries per section, because ``json.dumps`` with
+``indent`` leaves the C encoder for a pure-Python one, several times slower
+on a large model.
+
+Reading: parsing validates everything a :class:`CurveModel` promises (graph
+shape, action laws, connectivity) and raises :class:`ModelFormatError` with
+the offending location; so does a file the JSON decoder refuses, including
+one nested past the interpreter's stack or holding an integer past
+``int``'s digit limit.  A lawful file costs whole-list type checks of the
 graph and action, a check per component entry and one pass per law; only a
-failed list or law is scanned item by item for the message.  The model keeps its validation report
-(:attr:`CurveModel.validation`), so checking it later validates nothing again.
+failed list or law is scanned item by item for the message.  The model
+keeps its validation report (:attr:`CurveModel.validation`), so checking it
+later validates nothing again.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import multigraph
@@ -135,8 +147,47 @@ def model_from_obj(obj: dict) -> CurveModel:
     return model
 
 
+def _container(entries: list[str], brackets: str, indent: str) -> str:
+    """A JSON array or object from its laid-out entries, closed at ``indent``; empty as ``[]`` or ``{}``."""
+    if not entries:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(entries) + "\n" + indent + brackets[1]
+
+
 def dumps_model(m: CurveModel) -> str:
-    return json.dumps(model_to_obj(m), indent=2, sort_keys=True) + "\n"
+    """The model file: ``json.dumps(model_to_obj(m), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The layout is fixed, so it is written straight from the model: each
+    section is one list of entry strings, joined once, with identifiers
+    quoted by ``json``'s own C string encoder and integers by ``int.__repr__``.
+    ``json.dumps`` with ``indent`` runs its pure-Python encoder, one generator
+    step per token, which took most of the time of writing a large model.
+    """
+    q, num = encode_basestring_ascii, int.__repr__
+    a, g = m.action, m.graph
+    edge_map = [f"      {q(k)}: {q(a.edge_map[k])}" for k in sorted(a.edge_map)]
+    vertex_map = [f"      {q(k)}: {q(a.vertex_map[k])}" for k in sorted(a.vertex_map)]
+    components = [
+        f'    {q(v)}: {{\n      "multiplicity": {num(c.multiplicity)},\n      "ns_index": {num(c.ns_index)}\n    }}'
+        for v, c in sorted(m.components.items())
+    ]
+    edges = [
+        f'      {{\n        "ends": [\n          {q(tail)},\n          {q(head)}\n        ],\n        "id": {q(e)}\n      }}'
+        for e, tail, head in g.edges
+    ]
+    vertices = [f'      {{\n        "id": {q(v)}\n      }}' for v in g.vertices]
+    claimed = (
+        ""
+        if m.claimed is None
+        else f'  "claimed": {{\n    "genus": {num(m.claimed[0])},\n    "index": {num(m.claimed[1])}\n  }},\n'
+    )
+    return (
+        f'{{\n  "action": {{\n    "edge_map": {_container(edge_map, "{}", "    ")},\n'
+        f'    "order": {num(a.order)},\n    "vertex_map": {_container(vertex_map, "{}", "    ")}\n  }},\n'
+        f'{claimed}  "components": {_container(components, "{}", "  ")},\n'
+        f'  "graph": {{\n    "edges": {_container(edges, "[]", "    ")},\n'
+        f'    "vertices": {_container(vertices, "[]", "    ")}\n  }}\n}}\n'
+    )
 
 
 def save_model(m: CurveModel, path: str | Path) -> None:
@@ -150,7 +201,9 @@ def load_model(path: str | Path) -> CurveModel:
         raise ModelFormatError(f"{path}: cannot read: {err}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # Beside JSONDecodeError: an integer of more digits than int() accepts
+        # (ValueError) and nesting deeper than the interpreter's stack (RecursionError).
         raise ModelFormatError(f"{path}: not valid JSON: {err}") from None
     try:
         return model_from_obj(obj)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from curveindex.constructions import (
     cycle_model,
 )
 from curveindex.multigraph import GraphError, MultiGraph, is_connected
+from curveindex.serialize import model_to_obj
 from curveindex.verify import admissible_orders
 
 
@@ -172,6 +174,15 @@ def chain_name_clash_model():
     return as_model(graph, action)
 
 
+def weighted_model():
+    """``construct(1, 3)`` with non-unit component data on two of its three vertices."""
+    m = construct(1, 3)
+    components = dict(m.components)
+    components["0"] = Component(ns_index=2, multiplicity=3)
+    components["1"] = Component(ns_index=5)
+    return CurveModel(m.graph, m.action, components)
+
+
 def handcrafted_models():
     return [
         single_edge_swap_model(),
@@ -278,6 +289,11 @@ def naive_from_json_obj(obj):
             raise GraphError(f"edges[{i}].ends must be a pair of vertex ids")
         edges.append((item["id"], ends[0], ends[1]))
     return MultiGraph.build(vertices, edges)
+
+
+def naive_dumps_model(m):
+    """``serialize.dumps_model`` by way of ``model_to_obj``'s dicts and the stdlib encoder."""
+    return json.dumps(model_to_obj(m), indent=2, sort_keys=True) + "\n"
 
 
 def orbit_sizes(action, d=1):

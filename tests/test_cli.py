@@ -223,20 +223,25 @@ def test_unparseable_model_is_input_error(tmp_path, capsys):
 HUGE_ORDER = 2 * 10**7
 
 
-def run_fixed_loop_model(tmp_path, order, argv):
-    """Run the CLI in a subprocess, bounded at 10 s, on one fixed vertex with a fixed loop."""
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "graph": {"vertices": [{"id": "a"}], "edges": [{"id": "l", "ends": ["a", "a"]}]},
-        "action": {"order": order, "vertex_map": {"a": "a"}, "edge_map": {"l": "l"}},
-    }), encoding="utf-8")
+def run_in_subprocess(argv, path):
+    """Run the CLI in a subprocess, bounded at 10 s, with ``{m}`` in ``argv`` standing for ``path``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "curveindex.cli"] + [a.format(m=path) for a in argv]
     try:
         return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
     except subprocess.TimeoutExpired:
-        pytest.fail(f"{argv[0]} did not finish within 10 s at order {order}")
+        pytest.fail(f"{argv[0]} did not finish within 10 s on {path.name}")
+
+
+def run_fixed_loop_model(tmp_path, order, argv):
+    """Run the CLI in a subprocess on one fixed vertex with a fixed loop."""
+    path = tmp_path / f"huge-{order}.json"
+    path.write_text(json.dumps({
+        "graph": {"vertices": [{"id": "a"}], "edges": [{"id": "l", "ends": ["a", "a"]}]},
+        "action": {"order": order, "vertex_map": {"a": "a"}, "edge_map": {"l": "l"}},
+    }), encoding="utf-8")
+    return run_in_subprocess(argv, path)
 
 
 @pytest.mark.parametrize(
@@ -253,6 +258,22 @@ def test_huge_declared_order_finishes(tmp_path, argv):
     # Every cycle length is 1, so no command may cost time in proportion to the order.
     proc = run_fixed_loop_model(tmp_path, HUGE_ORDER, argv)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["index", "{m}"], ["verify", "--model", "{m}"]], ids=["index", "verify"])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"graph": ' + "9" * 5000 + "}"],
+    ids=["nested-200000-deep", "integer-of-5000-digits"],
+)
+def test_json_beyond_the_decoders_limits_is_input_error(tmp_path, argv, text):
+    # Nesting past the interpreter's stack, or an integer past int()'s digit limit, is bad input, not a crash.
+    path = tmp_path / "refused.json"
+    path.write_text(text, encoding="utf-8")
+    proc = run_in_subprocess(argv, path)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize(

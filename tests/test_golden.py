@@ -25,16 +25,11 @@ from conftest import (
     flipped_path_model,
     loop_at_fixed_vertex_model,
     single_edge_swap_model,
+    weighted_model,
 )
 from curveindex.action import CyclicAction, lift_voltage_graph, map_power
 from curveindex.cli import main
-from curveindex.constructions import (
-    Component,
-    CurveModel,
-    as_model,
-    construct,
-    cycle_model,
-)
+from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import divisors
 from curveindex.multigraph import MultiGraph
 from curveindex.serialize import model_to_obj
@@ -50,14 +45,6 @@ def voltage_lift_model():
     )
     graph, action = lift_voltage_graph(quotient, {"w1": 1, "w2": 2, "w3": 3}, 6)
     return as_model(graph, action)
-
-
-def weighted_model():
-    m = construct(1, 3)
-    components = dict(m.components)
-    components["0"] = Component(ns_index=2, multiplicity=3)
-    components["1"] = Component(ns_index=5)
-    return CurveModel(m.graph, m.action, components)
 
 
 def valid_models():

@@ -1,14 +1,26 @@
 import json
 import math
+import random
 
 import pytest
 
-from conftest import corrupted_two_cycle_model
+from conftest import (
+    admissible_cells,
+    circulant_model,
+    corrupted_two_cycle_model,
+    handcrafted_models,
+    naive_dumps_model,
+    random_voltage_models,
+    weighted_model,
+)
+from curveindex import serialize
+from curveindex.action import CyclicAction
 from curveindex.cli import main
-from curveindex.constructions import Component, construct
+from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import index, splitting_report
 from curveindex.multigraph import MultiGraph
 from curveindex.serialize import (
+    MAX_ORDER,
     ModelFormatError,
     dumps_model,
     load_model,
@@ -132,6 +144,65 @@ def test_dumps_is_stable_json():
 
 def load_model_from_text(text):
     return model_from_obj(json.loads(text))
+
+
+def test_dumps_matches_the_stdlib_encoder(model_pool):
+    rng = random.Random(12)
+    circulants = [circulant_model(order, k, rng) for order, k in [(12, 1), (18, 3), (24, 4), (30, 5), (60, 6)]]
+    constructed = [construct(g, i) for g, i in admissible_cells(12)]
+    for m in [*model_pool, *constructed, *circulants, *handcrafted_models(), weighted_model()]:
+        assert dumps_model(m) == naive_dumps_model(m)
+
+
+def test_dumps_matches_the_stdlib_encoder_on_edge_cases():
+    lone = MultiGraph.build(["a"], [])
+    fixed = CyclicAction(1, {"a": "a"}, {})
+    looped = MultiGraph.build(["a"], [("l", "a", "a")])
+    # Quotes, backslashes, non-ASCII, a newline and U+2028 must be escaped as the stdlib escapes them.
+    names = ['q"', "b\\s", "\u00e9", "n\nl", "\u2028"]
+    step = dict(zip(names, names[1:] + names[:1]))
+    ring = MultiGraph.build(names, [(f"{v}~", v, w) for v, w in step.items()])
+    rotation = CyclicAction(5, step, {f"{v}~": f"{w}~" for v, w in step.items()})
+    models = [
+        as_model(lone, fixed),
+        CurveModel(lone, fixed),  # no component entries: an empty object
+        as_model(ring, rotation, claimed=(1, 5)),
+        as_model(looped, CyclicAction(MAX_ORDER, {"a": "a"}, {"l": "l"})),
+    ]
+    for m in models:
+        assert dumps_model(m) == naive_dumps_model(m)
+    assert model_from_obj(json.loads(dumps_model(models[2]))) == models[2]
+    assert '"edges": [],' in dumps_model(models[0]) and '"edge_map": {},' in dumps_model(models[0])
+    assert '"claimed"' not in dumps_model(models[0])
+    assert '"components": {},' in dumps_model(models[1])
+    assert f'"order": {MAX_ORDER},' in dumps_model(models[3])
+    # Keys in string order, not numeric order: "c10" comes before "c2".
+    text = dumps_model(as_model(*cycle_model(12)))
+    assert text == naive_dumps_model(as_model(*cycle_model(12)))
+    assert text.index('"c10": "c11"') < text.index('"c2": "c3"')
+    assert text.index('"10": {') < text.index('"2": {')
+
+
+def test_save_load_save_is_a_fixed_point(tmp_path):
+    for i, m in enumerate(random_voltage_models(20, seed=1209)):
+        first, second = tmp_path / f"m{i}.json", tmp_path / f"m{i}-again.json"
+        save_model(m, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert loaded == m
+        assert second.read_text(encoding="utf-8") == first.read_text(encoding="utf-8") == naive_dumps_model(m)
+
+
+def test_writing_a_model_builds_no_dicts_and_calls_no_json_encoder(tmp_path, monkeypatch):
+    calls = []
+    to_obj, dumps = serialize.model_to_obj, json.dumps
+    monkeypatch.setattr(serialize, "model_to_obj", lambda m: calls.append("model_to_obj") or to_obj(m))
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append("json.dumps") or dumps(*a, **k))
+    m = construct(4, 6)
+    text = dumps_model(m)
+    save_model(m, tmp_path / "model.json")
+    assert calls == []
+    assert text == (tmp_path / "model.json").read_text(encoding="utf-8") == naive_dumps_model(m)
 
 
 @pytest.mark.parametrize(
