@@ -16,7 +16,7 @@ from .action import (
     stabilized_edges,
     validate,
 )
-from .blowup import BlownUpModel, base_change, oracle_splits
+from .blowup import oracle_splits
 from .constructions import (
     Component,
     CurveModel,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import multigraph
 from .action import cycles
-from .blowup import base_change
+from .blowup import oracle_splits
 from .constructions import check_realizability, construct
 from .invariants import (
     Case,
@@ -142,16 +142,16 @@ def cmd_mtheorem(args) -> int:
 
 def cmd_oracle(args) -> int:
     model = load_model(args.model)
-    blown = base_change(model, ExtensionSpec(args.d, args.e))
-    verdict = any(w == v for v, w in blown.action.vertex_map.items())
+    verdict = oracle_splits(model, ExtensionSpec(args.d, args.e))
+    graph = multigraph.subdivide(model.graph, args.e)
     if args.emit_dot:
-        Path(args.emit_dot).write_text(multigraph.to_dot(blown.graph, name="blowup"), encoding="utf-8")
+        Path(args.emit_dot).write_text(multigraph.to_dot(graph, name="blowup"), encoding="utf-8")
     summary = {
         "d": args.d,
         "e": args.e,
-        "vertices": len(blown.graph.vertices),
-        "edges": len(blown.graph.edges),
-        "euler": euler_characteristic(blown.graph),
+        "vertices": len(graph.vertices),
+        "edges": len(graph.edges),
+        "euler": euler_characteristic(graph),
         "splits": verdict,
     }
     if args.json:

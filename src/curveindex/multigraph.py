@@ -155,22 +155,14 @@ def chain_separator(g: MultiGraph, e: int) -> str:
     return sep
 
 
-def chain(edge_id: str, e: int, sep: str) -> tuple[list[str], list[str]]:
-    """Names of an edge's chain in the ``e``-fold subdivision, and the only place they are made.
-
-    Vertices ``<edge id><sep><p>`` for positions p = 1..e-1 from the tail;
-    segments ``<edge id>#<k>`` for k = 0..e-1, segment k joining positions k and k + 1.
-    """
-    return [f"{edge_id}{sep}{p}" for p in range(1, e)], [f"{edge_id}#{k}" for k in range(e)]
-
-
 def subdivide(g: MultiGraph, e: int) -> MultiGraph:
-    """Replace every edge by a path of ``e`` edges through fresh vertices.
+    """Replace every edge by a path of ``e`` edges through fresh vertices; the only place chains are named.
 
-    Fresh vertices and segments are named by :func:`chain` with ``sep`` from
-    :func:`chain_separator` (``":"`` whenever that names no existing
-    vertex), so the expansion is reproducible.  ``e == 1`` returns the graph
-    unchanged.
+    Edge ``<id>`` becomes vertices ``<id><sep><p>`` for positions p = 1..e-1
+    from the tail, with ``sep`` from :func:`chain_separator` (``":"``
+    whenever that names no existing vertex), and segments ``<id>#<k>`` for
+    k = 0..e-1, segment k joining positions k and k + 1, so the expansion is
+    reproducible.  ``e == 1`` returns the graph unchanged.
     """
     if e < 1:
         raise GraphError(f"subdivision factor must be >= 1, got {e}")
@@ -180,10 +172,10 @@ def subdivide(g: MultiGraph, e: int) -> MultiGraph:
     vertices = list(g.vertices)
     edges: list[tuple[str, str, str]] = []
     for ed in g.edges:
-        inner, segments = chain(ed.id, e, sep)
+        inner = [f"{ed.id}{sep}{p}" for p in range(1, e)]
         vertices += inner
         path = [ed.tail, *inner, ed.head]
-        edges += ((s, path[k], path[k + 1]) for k, s in enumerate(segments))
+        edges += ((f"{ed.id}#{k}", path[k], path[k + 1]) for k in range(e))
     return MultiGraph.build(vertices, edges)
 
 

@@ -10,7 +10,8 @@ checks, with zero tolerance:
   ``I`` odd or genus 1) and the splitting table over all ``d | I``,
   ``e in {1, 2}`` equals the closed-form prediction;
 * oracle: the classifier agrees with the blowup oracle for every ``d | I``
-  and every ramification index up to ``e_max``;
+  and every ramification index up to ``e_max``, and the index divides
+  ``d * e`` wherever the oracle splits;
 * realizability: the graph passes the residue-field checks for each
   configured cardinality (the weak check when ``I = 1``, where the full
   one is knowingly too strong over the 2-element field).
@@ -146,6 +147,10 @@ def check_model(
         if got != want:
             oracle_ok = False
             failures.append(f"oracle mismatch at (d={d}, e={e}): classifier={got}, oracle={want}")
+        if want and d * e % classifier.index:  # the oracle found a point of degree d*e
+            failures.append(
+                f"index law at (d={d}, e={e}): oracle splits, but index {classifier.index} does not divide {d * e}"
+            )
 
     realizability: dict[int | float, bool] = {}
     for q in residue_cardinalities:

@@ -9,7 +9,7 @@ import pytest
 from conftest import are_isomorphic, chain_name_clash_model, circulant_model, naive_power, single_edge_swap_model
 from curveindex import blowup, invariants, multigraph
 from curveindex.action import CyclicAction, cycles, validate
-from curveindex.blowup import base_change, oracle_splits, oracle_table, transport
+from curveindex.blowup import oracle_splits, oracle_table
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
 from curveindex.multigraph import (
@@ -22,15 +22,21 @@ from curveindex.multigraph import (
 from curveindex.verify import check_model
 
 
+def oracle_vertex_map(m, e):
+    """The oracle's transported generator at depth ``e``, named through ``subdivide(m.graph, e)``'s vertex tuple."""
+    vertices, edges = blowup._positions(m)
+    perm = blowup._chains(vertices, edges, len(vertices), e - 1)
+    names = subdivide(m.graph, e).vertices
+    return {v: names[i] for v, i in zip(names, perm)}
+
+
 def test_single_edge_quadratic_blowup():
     m = single_edge_swap_model()
-    blown = base_change(m, ExtensionSpec(1, 2))
-    assert len(blown.graph.vertices) == 3 and len(blown.graph.edges) == 2
-    vmap = blown.action.vertex_map
-    assert vmap["a"] == "b" and vmap["b"] == "a"
-    assert vmap["e:1"] == "e:1"  # the flip holds the chain midpoint in place
-    assert blown.graph.vertices == ("a", "b", "e:1")
-    assert [edge.id for edge in blown.graph.edges] == ["e#0", "e#1"]
+    graph = subdivide(m.graph, 2)
+    assert graph.vertices == ("a", "b", "e:1")
+    assert [edge.id for edge in graph.edges] == ["e#0", "e#1"]
+    # the flip holds the chain midpoint in place
+    assert oracle_vertex_map(m, 2) == {"a": "b", "b": "a", "e:1": "e:1"}
     assert oracle_splits(m, ExtensionSpec(1, 2))
     assert not oracle_splits(m, ExtensionSpec(1, 1))
 
@@ -38,10 +44,9 @@ def test_single_edge_quadratic_blowup():
 def test_two_cycle_quadratic_blowup_is_free():
     graph, action = cycle_model(2)
     m = as_model(graph, action)
-    blown = base_change(m, ExtensionSpec(1, 2))
-    assert are_isomorphic(blown.graph, cycle_model(4)[0])
-    vmap = blown.action.vertex_map
-    assert all(vmap[v] != v for v in blown.graph.vertices)
+    assert are_isomorphic(subdivide(graph, 2), cycle_model(4)[0])
+    vmap = oracle_vertex_map(m, 2)
+    assert all(w != v for v, w in vmap.items())
     # the two chains are exchanged, not internally reversed
     assert vmap["c0:1"] == "c1:1" and vmap["c1:1"] == "c0:1"
     assert not oracle_splits(m, ExtensionSpec(1, 2))
@@ -49,18 +54,18 @@ def test_two_cycle_quadratic_blowup_is_free():
 
 def test_trivial_subgroup_gives_identity_action():
     m = construct(4, 6)
-    blown = base_change(m, ExtensionSpec(6, 3))
-    assert len(blown.graph.edges) == 3 * len(m.graph.edges)
-    assert all(w == v for v, w in blown.action.vertex_map.items())
-    assert blown.action.order == 1
+    graph, action, _, _ = naive_base_change(m, ExtensionSpec(6, 3))
+    assert len(graph.edges) == 3 * len(m.graph.edges)
+    assert all(w == v for v, w in action.vertex_map.items())
+    assert action.order == 1
+    assert all(6 % len(c) == 0 for c in cycles(oracle_vertex_map(m, 3)))
+    assert oracle_splits(m, ExtensionSpec(6, 3))
 
 
 def test_unramified_base_change_keeps_graph():
     m = construct(4, 6)
-    blown = base_change(m, ExtensionSpec(3, 1))
-    assert blown.graph == m.graph
-    assert blown.action.order == 2
-    assert blown.graph is m.graph  # no fresh vertices or segments
+    assert subdivide(m.graph, 1) is m.graph  # no fresh vertices or segments
+    assert oracle_vertex_map(m, 1) == m.action.vertex_map
 
 
 def test_k33_flipped_rung_parity():
@@ -73,8 +78,8 @@ def test_k33_flipped_rung_parity():
 
 def test_base_change_rejects_bad_parameters():
     m = construct(4, 6)
-    with pytest.raises(ValueError):
-        base_change(m, ExtensionSpec(4, 2))
+    with pytest.raises(ValueError, match="d = 4 does not divide the acting order 6"):
+        oracle_splits(m, ExtensionSpec(4, 2))
     with pytest.raises(ValueError):
         ExtensionSpec(3, 0)
 
@@ -83,8 +88,8 @@ def test_transported_action_validates(model_pool):
     for m in model_pool[:30]:
         for d in divisors(m.action.order):
             for e in (1, 2, 3):
-                blown = base_change(m, ExtensionSpec(d, e))
-                assert validate(blown.graph, blown.action).ok
+                graph, action, _, _ = naive_base_change(m, ExtensionSpec(d, e))
+                assert validate(graph, action).ok
 
 
 def test_blowup_preserves_euler_and_genus(model_pool):
@@ -92,15 +97,14 @@ def test_blowup_preserves_euler_and_genus(model_pool):
         chi = euler_characteristic(m.graph)
         genus = arithmetic_genus(m.graph)
         for e in (2, 4, 5):
-            blown = base_change(m, ExtensionSpec(1, e))
-            assert euler_characteristic(blown.graph) == chi
-            assert arithmetic_genus(blown.graph) == genus
+            graph = subdivide(m.graph, e)
+            assert euler_characteristic(graph) == chi
+            assert arithmetic_genus(graph) == genus
 
 
 def test_original_vertices_persist(model_pool):
     for m in model_pool[:10]:
-        blown = base_change(m, ExtensionSpec(1, 3))
-        assert set(m.graph.vertices) <= set(blown.graph.vertices)
+        assert subdivide(m.graph, 3).vertices[: len(m.graph.vertices)] == m.graph.vertices
 
 
 def test_oracle_matches_classifier(model_pool):
@@ -151,18 +155,12 @@ def naive_base_change(m, x):
     return graph, CyclicAction(sub_order, vmap, emap), fresh, segments
 
 
-def test_base_change_equals_power_then_transport(model_pool):
+def test_subdivision_names_are_the_naive_names(model_pool):
     for m in model_pool:
-        for d in divisors(m.action.order):
-            for e in (1, 2, 3):
-                blown = base_change(m, ExtensionSpec(d, e))
-                graph, action, fresh, edge_ids = naive_base_change(m, ExtensionSpec(d, e))
-                assert blown.graph == graph
-                assert blown.action.order == action.order
-                assert list(blown.action.vertex_map.items()) == list(action.vertex_map.items())
-                assert list(blown.action.edge_map.items()) == list(action.edge_map.items())
-                assert blown.graph.vertices[len(m.graph.vertices):] == tuple(fresh)
-                assert [edge.id for edge in blown.graph.edges] == edge_ids
+        for e in (1, 2, 3):
+            graph, _, fresh, edge_ids = naive_base_change(m, ExtensionSpec(1, e))
+            assert graph.vertices[len(m.graph.vertices):] == tuple(fresh)
+            assert [edge.id for edge in graph.edges] == edge_ids
 
 
 def assert_oracle_table_matches_oracle_splits(m, e_max):
@@ -198,31 +196,19 @@ def test_oracle_table_matches_oracle_splits_at_depth_12():
         assert_oracle_table_matches_oracle_splits(m, 12)
 
 
-def test_transport_is_the_base_change_action(model_pool):
+def test_oracle_positions_are_the_named_base_change_action(model_pool):
     for m in model_pool:
         for e in (1, 2, 3, 5):
-            vperm, eperm = transport(m, e)
-            graph = subdivide(m.graph, e)
-            assert sorted(vperm) == list(range(len(graph.vertices)))
-            assert sorted(eperm) == list(range(len(graph.edges)))
-            vmap = {v: graph.vertices[i] for v, i in zip(graph.vertices, vperm)}
-            emap = {edge.id: graph.edges[i].id for edge, i in zip(graph.edges, eperm)}
-            blown = base_change(m, ExtensionSpec(1, e))
-            assert blown.action.order == m.action.order
-            if e == 1:  # base change keeps the model's own maps, whose key order positions do not have
-                assert vmap == blown.action.vertex_map and emap == blown.action.edge_map
-            else:
-                assert list(vmap.items()) == list(blown.action.vertex_map.items())
-                assert list(emap.items()) == list(blown.action.edge_map.items())
-            assert vmap.keys() == blown.graph.vertex_set
-            assert emap.keys() == blown.graph.edge_by_id.keys()
+            vmap = oracle_vertex_map(m, e)
+            assert vmap == naive_base_change(m, ExtensionSpec(1, e))[1].vertex_map
+            assert sorted(vmap.values()) == sorted(vmap)
 
 
 def test_chain_name_collisions_are_refused_where_names_are_made(monkeypatch):
     monkeypatch.setattr(multigraph, "chain_separator", lambda g, e: ":")
     m = chain_name_clash_model()
     with pytest.raises(GraphError, match="duplicate vertex identifiers"):
-        base_change(m, ExtensionSpec(1, 2))
+        subdivide(m.graph, 2)
     assert oracle_table(m, 4) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2) for e in range(1, 5)}
 
 
@@ -232,20 +218,15 @@ def test_oracle_table_rejects_depth_below_one():
 
 
 def test_oracle_table_builds_no_graph(monkeypatch):
-    subdivisions, builds = [], []
+    builds, names = [], []
     build = MultiGraph.build
-
-    def counting_subdivide(g, e):
-        subdivisions.append(e)
-        return subdivide(g, e)
 
     def counting_build(cls, vertices, edges):
         builds.append(cls)
         return build(vertices, edges)
 
-    names = []
     modules = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "curveindex"]
-    for namer in (multigraph.chain, multigraph.chain_separator):
+    for namer in (multigraph.subdivide, multigraph.chain_separator):
         def counting_namer(*args, namer=namer):
             names.append(namer.__name__)
             return namer(*args)
@@ -255,23 +236,15 @@ def test_oracle_table_builds_no_graph(monkeypatch):
                 if value is namer:
                     monkeypatch.setattr(mod, key, counting_namer)
 
-    transports = []
-
-    def counting_transport(m, e):
-        transports.append(e)
-        return transport(m, e)
-
     m = construct(4, 6)
-    monkeypatch.setattr(blowup, "transport", counting_transport)
-    monkeypatch.setattr(blowup, "subdivide", counting_subdivide)
     monkeypatch.setattr(MultiGraph, "build", classmethod(counting_build))
     assert oracle_table(m, 6) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2, 3, 6) for e in range(1, 7)}
     assert builds == []
     cell = check_model(m, e_max=6)
     assert cell.passed and len(cell.oracle_table) == 4 * 6
-    assert subdivisions == [] and names == [] and transports == []
-    base_change(m, ExtensionSpec(1, 2))  # the path that does name chains and build an edge permutation is counted
-    assert set(names) == {"chain", "chain_separator"} and transports == [2]
+    assert names == []
+    multigraph.subdivide(m.graph, 2)  # the path that does name chains is counted
+    assert names == ["subdivide", "chain_separator"] and len(builds) == 1
 
 
 def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch):
@@ -292,11 +265,10 @@ def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch)
 
 def test_chain_names_avoid_vertex_ids():
     m = chain_name_clash_model()
-    blown = base_change(m, ExtensionSpec(1, 2))
-    assert blown.graph.vertices == ("x:1", "b", "x::1")
-    assert [edge.id for edge in blown.graph.edges] == ["x#0", "x#1"]
-    assert blown.action.vertex_map == {"x:1": "b", "b": "x:1", "x::1": "x::1"}
-    assert validate(blown.graph, blown.action).ok
+    graph = subdivide(m.graph, 2)
+    assert graph.vertices == ("x:1", "b", "x::1")
+    assert [edge.id for edge in graph.edges] == ["x#0", "x#1"]
+    assert oracle_vertex_map(m, 2) == {"x:1": "b", "b": "x:1", "x::1": "x::1"}
     assert oracle_table(m, 4) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2) for e in range(1, 5)}
 
 
@@ -324,7 +296,7 @@ def curveindex_imports(module) -> dict[str, set[str]]:
 
 def test_oracle_and_classifier_stay_independent():
     oracle = curveindex_imports(blowup)
-    assert oracle["action"] <= {"CyclicAction", "cycles", "map_power"}
+    assert oracle["action"] <= {"cycles"}
     assert oracle["invariants"] <= {"ExtensionSpec", "divisors"}
-    assert "verify" not in oracle and "cli" not in oracle
+    assert "multigraph" not in oracle and "verify" not in oracle and "cli" not in oracle
     assert "blowup" not in curveindex_imports(invariants)

@@ -1,14 +1,18 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import chain_name_clash_model, corrupted_two_cycle_model
+from conftest import chain_name_clash_model, circulant_model, corrupted_two_cycle_model
+from curveindex.blowup import oracle_table
 from curveindex.cli import main
 from curveindex.constructions import CurveModel, construct
+from curveindex.invariants import divisors
+from curveindex.multigraph import euler_characteristic
 from curveindex.serialize import load_model, save_model
 
 
@@ -87,6 +91,23 @@ def test_oracle_command(tmp_path, capsys):
     assert obj["splits"] is True
     assert obj["vertices"] == 6 + 9 * 3 and obj["edges"] == 9 * 4
     assert dot.read_text().startswith("graph blowup {")
+
+
+def test_oracle_command_answers_with_the_oracle_table(tmp_path, capsys, model_pool):
+    rng = random.Random(5)
+    path = tmp_path / "m.json"
+    for m in model_pool[:20] + [circulant_model(24, 1, rng), circulant_model(30, 2, rng)]:
+        save_model(m, path)
+        table = oracle_table(m, 4)
+        n, k = len(m.graph.vertices), len(m.graph.edges)
+        for d in divisors(m.action.order):
+            for e in range(1, 5):
+                code, out, _ = run(capsys, "oracle", str(path), "--d", str(d), "--e", str(e), "--json")
+                assert code == 0
+                assert json.loads(out) == {
+                    "d": d, "e": e, "vertices": n + k * (e - 1), "edges": k * e,
+                    "euler": euler_characteristic(m.graph), "splits": table[(d, e)],
+                }
 
 
 def test_check_command(tmp_path, capsys):

@@ -4,24 +4,33 @@ Constructed model documents get keys or list items dropped and values
 replaced by ill-typed or extreme ones; every mutated file then goes through
 the commands that read a model.  Each call must return 0, 1 or 2 without
 raising and within ``MAX_CALL_S`` seconds, and exit 2 must come with an
-``error:`` message.
+``error:`` message.  Unclaimed models with mutated ``components`` entries
+go through ``verify --model``, which must fail exactly the cells where the
+oracle splits but the index does not divide ``d * e``.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import random
+from functools import reduce
 from time import perf_counter
+
+from conftest import orbit_sizes
+from curveindex.blowup import oracle_table
 
 from curveindex.cli import main
 from curveindex.constructions import construct
-from curveindex.serialize import model_to_obj
+from curveindex.serialize import load_model, model_to_obj
 
 SEED = 4
 MUTATIONS = 200
 MAX_CALL_S = 1.0  # the slowest call takes about 0.013 s
 BASES = [(0, 2), (1, 3), (3, 4), (4, 6)]
+LAW_BASES = [(0, 1), (0, 2), (1, 3), (4, 6)]
+LAW_MUTATIONS = 60
 VALUES = [None, True, 0, -1, 10**30, 1.5, 'a"b\\', "é", [], {}]
 COMMANDS = [
     ["index", "{m}"],
@@ -56,7 +65,7 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_mutated_models_exit_cleanly(tmp_path):
@@ -71,7 +80,7 @@ def test_mutated_models_exit_cleanly(tmp_path):
             argv = [a.format(m=path) for a in argv]
             start = perf_counter()
             try:
-                code, err = run(argv)
+                code, _, err = run(argv)
             except BaseException as exc:  # noqa: BLE001 -- any escape is a finding
                 bad.append((k, argv[0], repr(exc), doc))
                 continue
@@ -81,3 +90,30 @@ def test_mutated_models_exit_cleanly(tmp_path):
             if code not in (0, 1, 2) or (code == 2 and not err.startswith("error: ")):
                 bad.append((k, argv[0], f"exit {code}: {err!r}", doc))
     assert not bad, f"{len(bad)} bad calls, first: {bad[0]}"
+
+
+def test_mutated_components_meet_the_index_law(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "m.json"
+    outcomes = set()
+    for _ in range(LAW_MUTATIONS):
+        doc = model_to_obj(construct(*rng.choice(LAW_BASES)))
+        del doc["claimed"]
+        vertices = list(doc["components"])
+        for v in rng.sample(vertices, rng.randint(1, len(vertices))):
+            doc["components"][v] = {"ns_index": rng.randint(1, 4)}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        m = load_model(path)
+        orbit = orbit_sizes(m.action)
+        index = reduce(math.gcd, (orbit[v] * doc["components"][v]["ns_index"] for v in vertices))
+        want = [
+            f"index law at (d={d}, e={e}): oracle splits, but index {index} does not divide {d * e}"
+            for (d, e), verdict in oracle_table(m, 3).items()
+            if verdict and d * e % index
+        ]
+        code, out, _ = run(["verify", "--e-max", "3", "--json", "--model", str(path)])
+        failures = json.loads(out)["cells"][0]["failures"]
+        assert [f for f in failures if f.startswith("index law")] == want, doc
+        assert code == (1 if failures else 0)
+        outcomes.add(bool(want))
+    assert outcomes == {True, False}  # the law both holds and fails among the mutations

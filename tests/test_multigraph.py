@@ -10,7 +10,6 @@ from curveindex.multigraph import (
     GraphError,
     MultiGraph,
     arithmetic_genus,
-    chain,
     chain_separator,
     degree,
     euler_characteristic,
@@ -195,13 +194,10 @@ def test_subdivide_rejects_zero():
 def test_subdivide_chain_positions():
     g = MultiGraph.build(["a", "b"], [("e", "a", "b")])
     s = subdivide(g, 4)
-    assert chain("e", 4, ":") == (["e:1", "e:2", "e:3"], ["e#0", "e#1", "e#2", "e#3"])
     assert s.vertices == ("a", "b", "e:1", "e:2", "e:3")
     assert [x.id for x in s.edges] == ["e#0", "e#1", "e#2", "e#3"]
-    # chain runs tail -> head through the recorded positions
-    by_id = s.edge_by_id
-    assert (by_id["e#0"].tail, by_id["e#0"].head) == ("a", "e:1")
-    assert (by_id["e#3"].tail, by_id["e#3"].head) == ("e:3", "b")
+    # the chain runs tail -> head through the recorded positions: segment k joins positions k and k + 1
+    assert [(x.tail, x.head) for x in s.edges] == [("a", "e:1"), ("e:1", "e:2"), ("e:2", "e:3"), ("e:3", "b")]
 
 
 def test_chain_names_avoid_existing_vertices():

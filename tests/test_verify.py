@@ -81,6 +81,23 @@ def test_check_model_flags_inadmissible_claim():
     assert cell.oracle_ok and cell.index_ok
 
 
+def test_index_law_fails_a_model_that_contradicts_itself(tmp_path, capsys):
+    # The index reads 2 off the component data, yet the trivial action fixes the vertex, so (1, 1) splits.
+    doc = {
+        "graph": {"vertices": [{"id": "0"}], "edges": []},
+        "action": {"order": 1, "vertex_map": {"0": "0"}, "edge_map": {}},
+        "components": {"0": {"ns_index": 2}},
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--model", str(path), "--e-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "index= 2" in out and "0/1 cells verified" in out
+    assert [line for line in out.splitlines() if "index law" in line] == [
+        f"  !! g=None I=1: index law at (d=1, e={e}): oracle splits, but index 2 does not divide {e}" for e in (1, 3)
+    ]
+
+
 def test_check_model_reports_invalid_action():
     m = construct(1, 3)
     broken = CurveModel(
