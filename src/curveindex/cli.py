@@ -28,9 +28,9 @@ from .multigraph import euler_characteristic
 from .serialize import load_model, save_model, dumps_model
 from .verify import (
     check_model,
+    dumps_report,
     expected_case,
     render_report,
-    report_to_obj,
     run_verification,
     table_obj,
     VerificationReport,
@@ -94,7 +94,7 @@ def cmd_verify(args) -> int:
             residue_cardinalities=qs,
             genus_one_cap=args.genus_one_cap,
         )
-    payload = json.dumps(report_to_obj(report), indent=2) + "\n" if args.json else render_report(report)
+    payload = dumps_report(report) if args.json else render_report(report)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:

@@ -19,17 +19,25 @@ checks, with zero tolerance:
 ``check_model`` applies the same battery to a single, possibly handcrafted,
 model; claimed-metadata comparisons are skipped when the model claims
 nothing.
+
+The ``--json`` report is ``json.dumps(report_to_obj(r), indent=2)`` plus a
+newline.  :func:`dumps_report` writes that layout straight from the cells,
+as :func:`serialize.dumps_model` writes a model file, because ``json.dumps``
+with ``indent`` runs a pure-Python encoder that took about a quarter of a
+genus-24 sweep.  :func:`report_to_obj` stays as the exported form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 from .blowup import oracle_table
 from .constructions import CurveModel, check_realizability, construct
 from .invariants import Case, ExtensionSpec, divisors, main_theorem_prediction, splitting_report
 from .multigraph import euler_characteristic, is_connected
+from .serialize import _container
 
 
 def expected_case(genus: int, order: int) -> Case:
@@ -181,6 +189,8 @@ def run_verification(
         raise ValueError(f"genus_max must be non-negative, got {genus_max}")
     if genus_one_cap is None:
         genus_one_cap = 2 * genus_max + 2
+    elif genus_one_cap < 0:
+        raise ValueError(f"genus_one_cap must be non-negative, got {genus_one_cap}")
     cells = []
     for genus in range(genus_max + 1):
         for order in admissible_orders(genus, genus_one_cap):
@@ -239,3 +249,63 @@ def report_to_obj(r: VerificationReport) -> dict:
         "residue_cardinalities": [_q_obj(q) for q in r.residue_cardinalities],
         "cells": cells,
     }
+
+
+def _scalar(x: str | bool | int | None) -> str:
+    """``null``, ``true``, ``false``, a string or an integer, as ``json.dumps`` writes it."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return encode_basestring_ascii(x) if isinstance(x, str) else int.__repr__(x)
+
+
+def dumps_report(r: VerificationReport) -> str:
+    """The ``--json`` report: ``json.dumps(report_to_obj(r), indent=2) + "\\n"``, byte for byte.
+
+    The layout is fixed, so it is written straight from the cells: each
+    container is one list of entry strings, joined once, cell keys in
+    ``fields(CellReport)`` order and then ``passed``, strings quoted by
+    ``json``'s own C string encoder and integers by ``int.__repr__``.  Table
+    rows are almost all of the output and repeat from cell to cell, so each
+    distinct ``(d, e, splits)`` row is laid out once per call.
+    """
+    rows: dict[tuple[tuple[int, int], bool], str] = {}
+
+    def row(item: tuple[tuple[int, int], bool]) -> str:
+        (d, e), v = item
+        rows[item] = text = (
+            f'        {{\n          "d": {_scalar(d)},\n          "e": {_scalar(e)},\n'
+            f'          "splits": {_scalar(v)}\n        }}'
+        )
+        return text
+
+    def table(t: dict[tuple[int, int], bool]) -> str:
+        return _container([rows.get(item) or row(item) for item in sorted(t.items())], "[]", "      ")
+
+    writers = {
+        "case": lambda x: _scalar(None if x is None else x.value),
+        "classifier_table": table,
+        "oracle_table": table,
+        "realizability": lambda x: _container(
+            [f"        {_scalar(str(_q_obj(k)))}: {_scalar(v)}" for k, v in x.items()], "{}", "      "
+        ),
+        "failures": lambda x: _container([f"        {_scalar(s)}" for s in x], "[]", "      "),
+    }
+    layout = [(f"      {_scalar(f.name)}: ", f.name, writers.get(f.name, _scalar)) for f in fields(CellReport)]
+    cells = [
+        "    " + _container(
+            [key + write(getattr(c, name)) for key, name, write in layout]
+            + [f'      "passed": {_scalar(c.passed)}'],
+            "{}", "    ",
+        )
+        for c in r.cells
+    ]
+    residues = [f"    {_scalar(_q_obj(x))}" for x in r.residue_cardinalities]
+    return (
+        f'{{\n  "passed": {_scalar(r.passed)},\n  "e_max": {_scalar(r.e_max)},\n'
+        f'  "residue_cardinalities": {_container(residues, "[]", "  ")},\n'
+        f'  "cells": {_container(cells, "[]", "  ")}\n}}\n'
+    )

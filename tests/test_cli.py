@@ -202,6 +202,14 @@ def test_negative_genus_max_is_input_error(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_negative_genus_one_cap_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--genus-max", "2", "--genus-one-cap", "-3")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: genus_one_cap must be non-negative, got -3"]
+    code, out, _ = run(capsys, "verify", "--genus-max", "2", "--genus-one-cap", "0")
+    assert code == 0 and "4/4 cells verified" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--genus-max", "2", "--e-max", "-1"], ["verify", "--model", "{m}", "--json", "--e-max", "0"]],

@@ -5,6 +5,9 @@ runs ``curveindex.cli.main`` in-process and renders, per call, the argv, the
 exit code, stdout, stderr and every file the call wrote (``--out``, ``--dot``,
 ``--emit-dot``).  The temporary directory is written as ``<tmp>``.  The
 rendering of a group must equal ``tests/golden/<group>.txt`` byte for byte.
+The ``parser`` group pins the ``--help`` text of every parser and one usage
+error per subcommand, at a terminal width of 80 columns; each of those calls
+must also print what the full :func:`curveindex.cli.build_parser` prints.
 
 The files are meant to change only when an output change is intended; to
 re-record them, run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -13,9 +16,11 @@ re-record them, run ``PYTHONPATH=src python tests/test_golden.py``.
 import contextlib
 import io
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,7 +33,7 @@ from conftest import (
     weighted_model,
 )
 from curveindex.action import CyclicAction, lift_voltage_graph, map_power
-from curveindex.cli import main
+from curveindex.cli import build_parser, main
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import divisors
 from curveindex.multigraph import MultiGraph
@@ -127,6 +132,19 @@ COMMAND_CALLS = [
     ["verify", "--model", "{tmp}/empty_graph.json"],
 ]
 
+COMMANDS = ["construct", "verify", "index", "splitting", "mtheorem", "oracle", "check"]
+
+# Usage errors avoid choice arguments: how argparse quotes the offered choices differs between Python versions.
+PARSER_CALLS = [["--help"], []] + [[command, "--help"] for command in COMMANDS] + [
+    ["construct", "--genus", "four", "--index", "6"],
+    ["verify", "--residue-q", "1"],
+    ["index"],
+    ["splitting", "{m}", "--bogus"],
+    ["mtheorem", "--genus", "4", "--index", "6", "--d", "3"],
+    ["oracle", "{m}", "--d", "x", "--e", "2"],
+    ["check", "{m}", "--residue-q", "zero"],
+]
+
 
 def groups():
     """Group name -> (input files, argv templates), ``{m}`` naming the group's model file."""
@@ -139,7 +157,19 @@ def groups():
         {"not_json.json": "{not json", "empty_graph.json": '{"graph": {"vertices": [], "edges": []}}'},
         COMMAND_CALLS,
     )
+    out["parser"] = ({}, PARSER_CALLS)
     return out
+
+
+def captured(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)`` at 80 columns; argparse exits on ``--help`` and usage errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = call(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def render_group(inputs, calls, tmp: Path) -> str:
@@ -150,11 +180,9 @@ def render_group(inputs, calls, tmp: Path) -> str:
     for template in calls:
         argv = [a.format(m=f"{tmp_text}/model.json", tmp=tmp_text) for a in template]
         before = {p.name for p in tmp.iterdir()}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = captured(main, argv)
         written = sorted(p for p in tmp.iterdir() if p.name not in before)
-        block = [f"=== $ curveindex {' '.join(argv)}", f"exit {code}", "--- stdout", out.getvalue(), "--- stderr", err.getvalue()]
+        block = [f"=== $ curveindex {' '.join(argv)}", f"exit {code}", "--- stdout", out, "--- stderr", err]
         for p in written:
             block += [f"--- file {p}", p.read_text(encoding="utf-8")]
             p.unlink()
@@ -170,6 +198,19 @@ def test_golden_output(name, tmp_path):
     inputs, calls = GROUPS[name]
     want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert render_group(inputs, calls, tmp_path) == want
+
+
+@pytest.mark.parametrize("template", PARSER_CALLS, ids=lambda t: " ".join(t) or "no-command")
+def test_help_and_usage_errors_are_the_full_parsers(template, tmp_path):
+    argv = [a.format(m=tmp_path / "model.json") for a in template]
+    code, out, err = captured(main, argv)
+    assert (code, out, err) == captured(build_parser().parse_args, argv)
+    assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv else (2, False, True))
+
+
+def test_parser_calls_cover_every_subcommand():
+    _, out, _ = captured(main, ["--help"])
+    assert "{" + ",".join(COMMANDS) + "}" in out
 
 
 def test_golden_files_all_replayed():

@@ -1,18 +1,22 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
 from conftest import corrupted_two_cycle_model, single_edge_swap_model
-from curveindex import action, invariants, multigraph
+from curveindex import action, invariants, multigraph, verify
 from curveindex.cli import main
-from curveindex.constructions import Component, CurveModel, construct
+from curveindex.constructions import Component, CurveModel, as_model, construct
 from curveindex.invariants import Case, splitting_report
+from curveindex.multigraph import MultiGraph
 from curveindex.serialize import model_to_obj, save_model
 from curveindex.verify import (
+    VerificationReport,
     admissible_orders,
     check_model,
+    dumps_report,
     expected_case,
     render_report,
     report_to_obj,
@@ -123,6 +127,66 @@ def test_run_verification_small():
 def test_run_verification_rejects_negative_genus():
     with pytest.raises(ValueError):
         run_verification(genus_max=-1)
+
+
+def test_run_verification_rejects_negative_genus_one_cap():
+    with pytest.raises(ValueError, match="^genus_one_cap must be non-negative, got -3$"):
+        run_verification(genus_max=2, genus_one_cap=-3)
+    report = run_verification(genus_max=2, e_max=2, genus_one_cap=0)
+    assert report.passed and [c.genus for c in report.cells] == [0, 0, 2, 2]
+
+
+def stdlib_report(r):
+    return json.dumps(report_to_obj(r), indent=2) + "\n"
+
+
+def test_dumps_report_matches_the_stdlib_encoder_on_a_grid():
+    r = run_verification(6, 3, (2, math.inf))
+    assert dumps_report(r) == stdlib_report(r)
+
+
+def test_dumps_report_matches_the_stdlib_encoder_on_every_kind_of_cell(model_pool):
+    m = construct(1, 3)
+    invalid = as_model(m.graph, action.CyclicAction(3, dict(m.action.vertex_map), {e: e for e in m.action.edge_map}))
+    disconnected = as_model(MultiGraph.build(["a", "b"], []), action.CyclicAction(1, {"a": "a", "b": "b"}, {}))
+    cells = [check_model(model, e_max=3, residue_cardinalities=(math.inf, 2)) for model in model_pool]
+    cells += [check_model(model) for model in (corrupted_two_cycle_model(), invalid, disconnected)]
+    cells.insert(0, replace(cells[0], oracle_table=dict(reversed(cells[0].oracle_table.items()))))  # the report sorts rows
+    assert any(c.genus is None for c in cells) and not all(c.passed for c in cells)
+    assert not cells[-2].action_valid and cells[-1].failures == ("graph is not connected",)
+    assert cells[-1].index is None and not cells[-1].oracle_table and not cells[-1].realizability
+    for r in [VerificationReport(tuple(cells), 3, (math.inf, 2))] + [VerificationReport((c,), 6, ()) for c in cells[-3:]]:
+        assert dumps_report(r) == stdlib_report(r)
+
+
+def test_dumps_report_keeps_repeated_residue_cardinalities(tmp_path, capsys):
+    m = construct(4, 6)
+    path = tmp_path / "m.json"
+    save_model(m, path)
+    assert main(["verify", "--model", str(path), "--residue-q", "2", "--residue-q", "2", "--json"]) == 0
+    out = capsys.readouterr().out
+    obj = json.loads(out)
+    assert obj["residue_cardinalities"] == [2, 2] and obj["cells"][0]["realizability"] == {"2": True}
+    assert out == stdlib_report(VerificationReport((check_model(m, 6, (2, 2)),), 6, (2, 2)))
+
+
+def test_dumps_report_escapes_identifiers_as_the_stdlib_encoder_does():
+    odd = 'é"\\'
+    graph = MultiGraph.build([odd, "b"], [("c0", odd, "b")])
+    cell = check_model(as_model(graph, action.CyclicAction(2, {odd: "b", "b": "b"}, {"c0": "c0"})))
+    assert not cell.passed and any(odd in f for f in cell.failures)
+    r = VerificationReport((cell,), 6, (math.inf,))
+    assert dumps_report(r) == stdlib_report(r)
+    assert "\\u00e9\\\"\\\\" in dumps_report(r)
+
+
+def test_verify_json_builds_no_report_dicts_and_calls_no_json_encoder(monkeypatch, capsys):
+    to_obj = count_calls(monkeypatch, verify, "report_to_obj")
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    assert main(["verify", "--genus-max", "3", "--json"]) == 0
+    assert to_obj == calls == []
+    assert capsys.readouterr().out == stdlib_report(run_verification(3))
 
 
 def count_calls(monkeypatch, module, name):
