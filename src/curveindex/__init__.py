@@ -6,16 +6,7 @@ graph, and verify the classification exhaustively against an independent
 blowup oracle.
 """
 
-from .action import (
-    ActionError,
-    CyclicAction,
-    ValidationReport,
-    cycles,
-    fixed_vertices,
-    lift_voltage_graph,
-    stabilized_edges,
-    validate,
-)
+from .action import ActionError, CyclicAction, ValidationReport, cycles, validate
 from .blowup import oracle_splits
 from .constructions import (
     Component,
@@ -37,7 +28,6 @@ from .invariants import (
     case_classification,
     divisors,
     index,
-    m_invariant,
     main_theorem_prediction,
     snc_index,
     splits,

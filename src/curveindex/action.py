@@ -7,9 +7,8 @@ of the generator, so subgroups are addressed by that co-degree ``d`` alone.
 That power fixes ``x`` iff the length of the generator's cycle through ``x``
 divides ``d``: :func:`cycles` is the one walk over a permutation (of names,
 or of positions, which the blowup oracle walks in bulk), and each action
-caches its cycle lengths.  The module also validates actions and lifts
-voltage graphs into derived graphs carrying a vertex-free action (the
-workhorse for randomized testing).
+caches its cycle lengths, from which every subgroup's fixed vertices and
+stabilized edges are read.  The module also validates actions.
 """
 
 from __future__ import annotations
@@ -184,56 +183,3 @@ def validate(g: MultiGraph, a: CyclicAction) -> ValidationReport:
             if a.order % a.edge_orbit[e]:
                 violations.append(Violation("order", e, f"edge not fixed by the {a.order}-th iterate"))
     return ValidationReport(tuple(violations))
-
-
-def _check_codegree(a: CyclicAction, d: int) -> None:
-    if d < 1 or a.order % d != 0:
-        raise ActionError(f"subgroup co-degree {d} does not divide the order {a.order}")
-
-
-def fixed_vertices(g: MultiGraph, a: CyclicAction, d: int) -> set[str]:
-    """Vertices fixed by the ``d``-th power of the generator, hence by its whole subgroup."""
-    _check_codegree(a, d)
-    return {v for v in g.vertices if d % a.vertex_orbit[v] == 0}
-
-
-def stabilized_edges(g: MultiGraph, a: CyclicAction, d: int) -> set[tuple[str, bool]]:
-    """Edges sent to themselves by the ``d``-th power of the generator.
-
-    The boolean records whether that power exchanges the edge's endpoints,
-    i.e. moves its tail; it is False for loops and for pointwise-fixed edges.
-    """
-    _check_codegree(a, d)
-    return {
-        (e.id, not e.is_loop and d % a.vertex_orbit[e.tail] != 0)
-        for e in g.edges
-        if d % a.edge_orbit[e.id] == 0
-    }
-
-
-def lift_voltage_graph(
-    quotient: MultiGraph, voltages: dict[str, int], order: int
-) -> tuple[MultiGraph, CyclicAction]:
-    """Derived graph of a voltage assignment ``edge id -> residue mod order``.
-
-    Vertices are ``<vertex>@<j>`` and edges ``<edge>@<j>`` for ``j`` mod
-    ``order``; the edge copy at layer ``j`` runs from its tail at layer ``j``
-    to its head at layer ``j + voltage``.  The shift ``j -> j+1`` is an
-    automorphism acting freely on vertices, and every valid vertex-free
-    action arises this way.  Edges without an assigned voltage default to 0.
-    The result need not be connected; callers filter.
-    """
-    if order < 1:
-        raise ActionError(f"order must be positive, got {order}")
-    unknown = voltages.keys() - quotient.edge_by_id.keys()
-    if unknown:
-        raise ActionError(f"voltages assigned to unknown edges: {sorted(unknown)}")
-    vertices = [f"{v}@{j}" for v in quotient.vertices for j in range(order)]
-    edges = []
-    for e in quotient.edges:
-        volt = voltages.get(e.id, 0) % order
-        for j in range(order):
-            edges.append((f"{e.id}@{j}", f"{e.tail}@{j}", f"{e.head}@{(j + volt) % order}"))
-    vmap = {f"{v}@{j}": f"{v}@{(j + 1) % order}" for v in quotient.vertices for j in range(order)}
-    emap = {f"{e.id}@{j}": f"{e.id}@{(j + 1) % order}" for e in quotient.edges for j in range(order)}
-    return MultiGraph.build(vertices, edges), CyclicAction(order, vmap, emap)

@@ -204,8 +204,6 @@ def construct(genus: int, index: int) -> CurveModel:
         graph, action = cayley_graph(GeneratingSet(2, frozenset({1})))
     elif genus == 1:
         graph, action = cycle_model(index)
-    elif index == 2 * genus - 2:
-        graph, action = mobius_ladder(genus)
     else:
         graph, full = mobius_ladder(genus)
         step = (2 * genus - 2) // index
@@ -265,7 +263,8 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
     else:
         orbit = m.action.vertex_orbit
         if mode == "full":
-            bad = sorted(v for v in m.graph.vertices if degree(m.graph, v) > q ** orbit[v])
+            deg = m.graph.degrees  # q**k > k for q >= 2, so an exponent past the degree cannot change the verdict
+            bad = sorted(v for v in m.graph.vertices if deg[v] > q ** min(orbit[v], deg[v]))
             checks.append(
                 RealizabilityCheck(
                     "point-supply",

@@ -10,8 +10,10 @@ whether the extension splits the curve:
 * ramified route: the subgroup stabilizes some edge and ``e`` is even, so
   the chain of components created by ramified base change has a middle one.
 
-Everything else here is gcd bookkeeping over the divisor lattice of the
-acting order.
+The subgroup addressed by ``d`` fixes a vertex or an edge iff the
+generator's cycle through it has a length dividing ``d``, so the whole
+table is read off the action's cached cycle lengths.  Everything else here
+is gcd bookkeeping over the divisor lattice of the acting order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
-from .action import fixed_vertices, stabilized_edges
+from .action import ActionError, CyclicAction
 from .constructions import CurveModel
 
 
@@ -48,6 +50,16 @@ class ExtensionSpec:
 
 @dataclass(frozen=True)
 class SplittingReport:
+    """The classifier's verdicts on one model, all read off one table.
+
+    ``m_invariant`` is the least degree of a splitting field, assuming a
+    finite residue field.  There a residue extension of degree ``f`` meets
+    the distinguished cyclic extension in degree ``gcd(f, I)``, so the
+    minimum of ``f * e`` over splitting pairs is computable from the graph.
+    The least ``f`` with ``gcd(f, I) = d`` is ``d`` itself, so the minimum
+    runs over the table's true cells.
+    """
+
     index: int
     case: Case
     table: dict[tuple[int, int], bool]  # (d, e) -> splits, for d | I and e in {1, 2}
@@ -89,6 +101,17 @@ def snc_index(m: CurveModel) -> int:
     )
 
 
+def _table(a: CyclicAction) -> dict[tuple[int, int], bool]:
+    """``(d, 1)`` iff some vertex cycle length divides ``d``; ``(d, 2)`` iff some vertex or edge one does."""
+    vertex = set(a.vertex_orbit.values())
+    edge = set(a.edge_orbit.values())
+    table = {}
+    for d in divisors(a.order):
+        table[(d, 1)] = fixed = any(d % n == 0 for n in vertex)
+        table[(d, 2)] = fixed or any(d % n == 0 for n in edge)
+    return table
+
+
 def splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """Does an extension of type ``x`` give the curve a rational point?
 
@@ -97,9 +120,9 @@ def splits(m: CurveModel, x: ExtensionSpec) -> bool:
     Raises :class:`~curveindex.action.ActionError` if ``x.d`` does not divide
     the acting order.
     """
-    if fixed_vertices(m.graph, m.action, x.d):
-        return True
-    return x.e % 2 == 0 and bool(stabilized_edges(m.graph, m.action, x.d))
+    if m.action.order % x.d:
+        raise ActionError(f"subgroup co-degree {x.d} does not divide the order {m.action.order}")
+    return _table(m.action)[(x.d, 2 - x.e % 2)]
 
 
 def case_classification(m: CurveModel) -> Case:
@@ -125,29 +148,16 @@ def main_theorem_prediction(genus: int, order: int, x: ExtensionSpec, case: Case
     return x.d == order or (2 * x.d == order and x.e % 2 == 0)
 
 
-def m_invariant(m: CurveModel) -> int:
-    """Least degree of a splitting field, assuming a finite residue field.
-
-    Over a finite residue field a residue extension of degree ``f`` meets
-    the distinguished cyclic extension in degree ``gcd(f, I)``, so the
-    minimum of ``f * e`` over splitting pairs is computable from the graph.
-    The least ``f`` with ``gcd(f, I) = d`` is ``d`` itself, so the minimum
-    runs over the divisors of ``I``.
-    """
-    return splitting_report(m).m_invariant
-
-
 def splitting_report(m: CurveModel) -> SplittingReport:
     """The (d, e-parity) splitting table, and index, case and m-invariant read off it.
 
     Row ``d`` reads ``(d, 1)`` false and ``(d, 2)`` true iff its subgroup
     stabilizes an edge but fixes no vertex; ``(I, 1)`` is always true.
     """
-    ds = divisors(m.action.order)
-    table = {(d, e): splits(m, ExtensionSpec(d, e)) for d in ds for e in (1, 2)}
+    table = _table(m.action)
     return SplittingReport(
         index=index(m),
-        case=Case.CASE2 if any(table[(d, 2)] and not table[(d, 1)] for d in ds) else Case.CASE1,
+        case=Case.CASE2 if any(table[(d, 2)] and not table[(d, 1)] for d, _ in table) else Case.CASE1,
         table=table,
         m_invariant=min(d * e for (d, e), value in table.items() if value),
     )

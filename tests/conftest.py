@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from curveindex.action import (
+    ActionError,
     CyclicAction,
     ValidationReport,
     Violation,
     cycles,
-    lift_voltage_graph,
     map_power,
 )
 from curveindex.constructions import (
@@ -110,6 +110,34 @@ def are_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
         return False
 
     return extend(0)
+
+
+def lift_voltage_graph(
+    quotient: MultiGraph, voltages: dict[str, int], order: int
+) -> tuple[MultiGraph, CyclicAction]:
+    """Derived graph of a voltage assignment ``edge id -> residue mod order``.
+
+    Vertices are ``<vertex>@<j>`` and edges ``<edge>@<j>`` for ``j`` mod
+    ``order``; the edge copy at layer ``j`` runs from its tail at layer ``j``
+    to its head at layer ``j + voltage``.  The shift ``j -> j+1`` is an
+    automorphism acting freely on vertices, and every valid vertex-free
+    action arises this way.  Edges without an assigned voltage default to 0.
+    The result need not be connected; callers filter.
+    """
+    if order < 1:
+        raise ActionError(f"order must be positive, got {order}")
+    unknown = voltages.keys() - quotient.edge_by_id.keys()
+    if unknown:
+        raise ActionError(f"voltages assigned to unknown edges: {sorted(unknown)}")
+    vertices = [f"{v}@{j}" for v in quotient.vertices for j in range(order)]
+    edges = []
+    for e in quotient.edges:
+        volt = voltages.get(e.id, 0) % order
+        for j in range(order):
+            edges.append((f"{e.id}@{j}", f"{e.tail}@{j}", f"{e.head}@{(j + volt) % order}"))
+    vmap = {f"{v}@{j}": f"{v}@{(j + 1) % order}" for v in quotient.vertices for j in range(order)}
+    emap = {f"{e.id}@{j}": f"{e.id}@{(j + 1) % order}" for e in quotient.edges for j in range(order)}
+    return MultiGraph.build(vertices, edges), CyclicAction(order, vmap, emap)
 
 
 def random_quotient(rng, max_vertices=5, max_edges=8):

@@ -7,24 +7,16 @@ from conftest import (
     admissible_cells,
     are_isomorphic,
     circulant_model,
+    lift_voltage_graph,
     naive_power,
     naive_validate,
     orbit_sizes,
     random_voltage_models,
     single_edge_swap_model,
 )
-from curveindex.action import (
-    ActionError,
-    CyclicAction,
-    cycles,
-    fixed_vertices,
-    lift_voltage_graph,
-    map_power,
-    stabilized_edges,
-    validate,
-)
-from curveindex.constructions import coathanger_chain, construct, cycle_model, mobius_ladder
-from curveindex.invariants import divisors
+from curveindex.action import ActionError, CyclicAction, cycles, map_power, validate
+from curveindex.constructions import as_model, coathanger_chain, construct, cycle_model, mobius_ladder
+from curveindex.invariants import ExtensionSpec, divisors, splits, splitting_report
 from curveindex.multigraph import Edge, MultiGraph, is_connected
 
 
@@ -175,13 +167,13 @@ def test_cached_orbits_and_exact_order(model_pool):
 
 
 def test_fixed_and_stabilized_match_powers(model_pool):
+    # the d-th power fixes a vertex or an edge iff the generator's cycle through it has a length dividing d
     for m in model_pool:
-        for d in divisors(m.action.order):
-            gen_v, gen_e = naive_power(m.action.vertex_map, d), naive_power(m.action.edge_map, d)
-            assert fixed_vertices(m.graph, m.action, d) == {v for v in m.graph.vertices if gen_v[v] == v}
-            assert stabilized_edges(m.graph, m.action, d) == {
-                (e.id, not e.is_loop and gen_v[e.tail] == e.head) for e in m.graph.edges if gen_e[e.id] == e.id
-            }
+        a = m.action
+        for d in divisors(a.order):
+            gen_v, gen_e = naive_power(a.vertex_map, d), naive_power(a.edge_map, d)
+            assert {v for v in a.vertex_map if d % a.vertex_orbit[v] == 0} == {v for v in gen_v if gen_v[v] == v}
+            assert {e for e in a.edge_map if d % a.edge_orbit[e] == 0} == {e for e in gen_e if gen_e[e] == e}
 
 
 # orbits and fixed points
@@ -213,72 +205,70 @@ def test_orbit_size_divides_subgroup_order(model_pool):
 
 
 def test_invalid_subgroup_degree():
-    graph, action = cycle_model(6)
-    with pytest.raises(ActionError):
-        fixed_vertices(graph, action, 5)
-    with pytest.raises(ActionError):
-        stabilized_edges(graph, action, 5)
-    with pytest.raises(ActionError):
-        fixed_vertices(graph, action, 0)
+    m = as_model(*cycle_model(6))
+    for d in (4, 5):
+        with pytest.raises(ActionError, match=f"subgroup co-degree {d} does not divide the order 6"):
+            splits(m, ExtensionSpec(d, 2))
 
 
 def test_fixed_vertices_trivial_action():
     graph, action = coathanger_chain(3)
-    assert fixed_vertices(graph, action, 1) == set(graph.vertices)
+    assert set(action.vertex_orbit.values()) == set(action.edge_orbit.values()) == {1}
+    assert splitting_report(as_model(graph, action)).table == {(1, 1): True, (1, 2): True}
 
 
 def test_fixed_vertices_two_cycle_swap():
     graph, action = cycle_model(2)
-    assert fixed_vertices(graph, action, 1) == set()
-    assert fixed_vertices(graph, action, 2) == set(graph.vertices)
+    assert action.vertex_orbit == {"0": 2, "1": 2}  # nothing fixed at d = 1, everything at d = 2
 
 
 def test_fixed_vertices_monotone_in_subgroup(model_pool):
     for m in model_pool:
         divs = divisors(m.action.order)
+        fixed = {d: {v for v, size in orbit_sizes(m.action, d).items() if size == 1} for d in divs}
         for d in divs:
-            smaller = fixed_vertices(m.graph, m.action, d)
             for d2 in divs:
                 if d2 % d == 0:
-                    assert smaller <= fixed_vertices(m.graph, m.action, d2)
+                    assert fixed[d] <= fixed[d2]
 
 
 # stabilized edges
 
 def test_single_edge_swap_stabilized_flipped():
     m = single_edge_swap_model()
-    assert stabilized_edges(m.graph, m.action, 1) == {("e", True)}
+    assert m.action.edge_orbit == {"e": 1} and m.action.vertex_orbit == {"a": 2, "b": 2}
 
 
 def test_two_cycle_edges_exchanged():
     graph, action = cycle_model(2)
-    assert stabilized_edges(graph, action, 1) == set()
+    assert action.edge_orbit == {"c0": 2, "c1": 2}
 
 
 def test_mobius_rungs_flipped_by_antipodal_subgroup():
     for g in (2, 3, 5, 8):
         graph, action = mobius_ladder(g)
-        stable = stabilized_edges(graph, action, g - 1)  # subgroup of order 2
-        assert stable == {(f"r{i}", True) for i in range(g - 1)}
+        stable = {e for e in action.edge_map if (g - 1) % action.edge_orbit[e] == 0}  # subgroup of order 2
+        assert stable == {f"r{i}" for i in range(g - 1)}
+        half = naive_power(action.vertex_map, g - 1)
+        assert all(half[graph.edge_by_id[r].tail] == graph.edge_by_id[r].head for r in stable)
 
 
 def test_stabilized_loop_not_flipped():
     graph = MultiGraph.build(["a"], [("l", "a", "a")])
     action = CyclicAction(2, {"a": "a"}, {"l": "l"})
-    assert stabilized_edges(graph, action, 1) == {("l", False)}
+    assert action.edge_orbit == {"l": 1} and action.vertex_orbit == {"a": 1}
 
 
 def test_flip_flag_semantics(model_pool):
+    # an edge stabilized by the d-th power either has both endpoints fixed or is flipped: (d, 2) needs no flip flag
     for m in model_pool:
-        for d in divisors(m.action.order):
-            gen_v = map_power(m.action.vertex_map, d)
-            fixed = fixed_vertices(m.graph, m.action, d)
-            for eid, flipped in stabilized_edges(m.graph, m.action, d):
-                e = m.graph.edge_by_id[eid]
-                if flipped:
-                    assert gen_v[e.tail] == e.head and gen_v[e.head] == e.tail
-                else:
-                    assert e.tail in fixed and e.head in fixed
+        a = m.action
+        for d in divisors(a.order):
+            gen_v = map_power(a.vertex_map, d)
+            for e in m.graph.edges:
+                if d % a.edge_orbit[e.id] == 0:
+                    fixed = d % a.vertex_orbit[e.tail] == 0 and d % a.vertex_orbit[e.head] == 0
+                    assert fixed or gen_v[e.tail] == e.head and gen_v[e.head] == e.tail
 
 
 # voltage lifts
@@ -307,7 +297,7 @@ def test_edge_voltage_zero_two_components():
     assert len(graph.vertices) == 4 and len(graph.edges) == 2
     assert not is_connected(graph)
     assert validate(graph, action).ok
-    assert fixed_vertices(graph, action, 1) == set()
+    assert set(action.vertex_orbit.values()) == {2}
 
 
 def test_voltage_rejects_unknown_edges():

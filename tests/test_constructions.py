@@ -199,6 +199,15 @@ def test_construct_3_4_is_k4_with_rotation():
     assert m.action.exact_order == 4
 
 
+def test_construct_full_order_is_the_ladder_rotation():
+    for g in range(2, 13):
+        graph, action = mobius_ladder(g)
+        m = construct(g, 2 * g - 2)
+        assert m.graph == graph and m.action == action
+        assert list(m.action.vertex_map) == list(action.vertex_map)
+        assert list(m.action.edge_map) == list(action.edge_map)
+
+
 def test_construct_rejects_inadmissible_pair():
     with pytest.raises(ValueError, match="divide"):
         construct(2, 3)
@@ -261,3 +270,33 @@ def test_realizability_argument_validation():
         check_realizability(m, 2, "strict")
     with pytest.raises(ValueError):
         check_realizability(m, 1, "full")
+
+
+class RecordingQ(int):
+    """A residue cardinality that records every exponent it is raised to."""
+
+    def __new__(cls, value):
+        q = super().__new__(cls, value)
+        q.exponents = []
+        return q
+
+    def __pow__(self, k):
+        self.exponents.append(k)
+        return int(self) ** k
+
+
+def test_realizability_raises_q_no_higher_than_the_degree(model_pool):
+    # a vertex orbit of size 5000 must not cost a 5000-bit power
+    for m in list(model_pool) + [construct(1, 5000)]:
+        q = RecordingQ(2)
+        check_realizability(m, q, "full")
+        assert q.exponents and max(q.exponents) <= max(m.graph.degrees.values()), m.claimed
+
+
+def test_realizability_matches_the_uncapped_comparison(model_pool):
+    for m in model_pool:
+        for q in (2, 3):
+            bad = sorted(v for v in m.graph.vertices if degree(m.graph, v) > q ** m.action.vertex_orbit[v])
+            supply = next(c for c in check_realizability(m, q, "full").checks if c.name == "point-supply")
+            assert supply.passed == (not bad)
+            assert supply.detail == ("" if not bad else f"too many nodes for q={q} at: {bad}")

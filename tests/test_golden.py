@@ -28,11 +28,12 @@ from conftest import (
     circulant_model,
     corrupted_two_cycle_model,
     flipped_path_model,
+    lift_voltage_graph,
     loop_at_fixed_vertex_model,
     single_edge_swap_model,
     weighted_model,
 )
-from curveindex.action import CyclicAction, lift_voltage_graph, map_power
+from curveindex.action import CyclicAction, map_power
 from curveindex.cli import build_parser, main
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import divisors

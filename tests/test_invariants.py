@@ -4,8 +4,16 @@ from functools import reduce
 
 import pytest
 
-from conftest import admissible_cells, circulant_model, flipped_path_model, orbit_sizes, single_edge_swap_model
+from conftest import (
+    admissible_cells,
+    circulant_model,
+    flipped_path_model,
+    naive_power,
+    orbit_sizes,
+    single_edge_swap_model,
+)
 from curveindex.action import CyclicAction
+from curveindex.blowup import oracle_table
 from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import (
     Case,
@@ -13,7 +21,6 @@ from curveindex.invariants import (
     case_classification,
     divisors,
     index,
-    m_invariant,
     main_theorem_prediction,
     snc_index,
     splits,
@@ -253,6 +260,33 @@ def test_report_k33():
     assert true_cells == {(6, 1), (6, 2), (3, 2)}
 
 
+def test_table_matches_powers(model_pool):
+    # (d, 1) iff the d-th power fixes a vertex; (d, 2) iff it fixes a vertex or an edge
+    for m in model_pool:
+        naive = {}
+        for d in divisors(m.action.order):
+            gen_v, gen_e = naive_power(m.action.vertex_map, d), naive_power(m.action.edge_map, d)
+            naive[(d, 1)] = any(gen_v[v] == v for v in gen_v)
+            naive[(d, 2)] = naive[(d, 1)] or any(gen_e[e] == e for e in gen_e)
+        assert splitting_report(m).table == naive
+
+
+def test_index_and_m_invariant_read_off_the_oracle(model_pool):
+    # on unit components: the index is the gcd, and the m-invariant the least, of d * e over the oracle's true cells
+    rng = random.Random(6)
+    circulants = [circulant_model(24, 1, rng), circulant_model(30, 2, rng), circulant_model(36, 3, rng)]
+    grid = [construct(g, i) for g, i in admissible_cells(12)]
+    checked = 0
+    for m in list(model_pool) + grid + circulants:
+        if all(m.component(v).ns_index == 1 for v in m.graph.vertices):
+            degrees = [d * e for (d, e), value in oracle_table(m, 2).items() if value]
+            assert index(m) == reduce(math.gcd, degrees), m.claimed
+            report = splitting_report(m)
+            assert report.m_invariant == min(d * e for (d, e), value in oracle_table(m, 6).items() if value), m.claimed
+            checked += 1
+    assert checked >= len(model_pool) + len(grid) + len(circulants)
+
+
 def test_report_invariants(model_pool):
     for m in model_pool[:40]:
         report = splitting_report(m)
@@ -266,27 +300,27 @@ def test_report_invariants(model_pool):
 # m-invariant
 
 def test_m_invariant_cycle_two():
-    assert m_invariant(construct(1, 2)) == 2
+    assert splitting_report(construct(1, 2)).m_invariant == 2
 
 
 def test_m_invariant_k33():
-    assert m_invariant(construct(4, 6)) == 6
+    assert splitting_report(construct(4, 6)).m_invariant == 6
 
 
 def test_m_invariant_fixed_vertex():
-    assert m_invariant(flipped_path_model()) == 1
-    assert m_invariant(construct(3, 1)) == 1
+    assert splitting_report(flipped_path_model()).m_invariant == 1
+    assert splitting_report(construct(3, 1)).m_invariant == 1
 
 
 def test_m_invariant_single_edge():
     # quadratic ramified extensions already split it
-    assert m_invariant(single_edge_swap_model()) == 2
+    assert splitting_report(single_edge_swap_model()).m_invariant == 2
 
 
 def test_m_invariant_bounds(model_pool):
     # the least splitting degree is a multiple of the index and is attained
     # by f = order, e = 1 at the latest
     for m in model_pool:
-        value = m_invariant(m)
+        value = splitting_report(m).m_invariant
         assert 1 <= value <= m.action.order
         assert value % index(m) == 0

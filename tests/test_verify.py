@@ -205,15 +205,18 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_classifier_table_is_built_once(monkeypatch):
-    splits = count_calls(monkeypatch, invariants, "splits")
-    connectivity = count_calls(monkeypatch, multigraph, "is_connected")
     m = construct(4, 6)
+    splits = count_calls(monkeypatch, invariants, "splits")
+    walks = count_calls(monkeypatch, action, "cycles")
+    reports = count_calls(monkeypatch, invariants, "splitting_report")
+    connectivity = count_calls(monkeypatch, multigraph, "is_connected")
     splitting_report(m)
-    assert len(splits) == 2 * 4  # e = 1 and e = 2 for each of the four divisors of 6
-    splits.clear()
+    assert len(walks) == 2  # the vertex and the edge cycle lengths, cached on the action
+    splitting_report(m)
+    assert len(walks) == 2 and len(splits) == 0
     cell = check_model(m, e_max=6)
     assert cell.passed and len(cell.oracle_table) == 4 * 6
-    assert len(splits) <= 8
+    assert len(reports) == 1 and len(splits) == 0
     assert len(connectivity) <= 2
 
 
