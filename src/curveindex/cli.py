@@ -24,7 +24,6 @@ from .invariants import (
     main_theorem_prediction,
     splitting_report,
 )
-from .multigraph import euler_characteristic
 from .serialize import load_model, save_model, dumps_model
 from .verify import (
     check_model,
@@ -143,15 +142,16 @@ def cmd_mtheorem(args) -> int:
 def cmd_oracle(args) -> int:
     model = load_model(args.model)
     verdict = oracle_splits(model, ExtensionSpec(args.d, args.e))
-    graph = multigraph.subdivide(model.graph, args.e)
     if args.emit_dot:
+        graph = multigraph.subdivide(model.graph, args.e)
         Path(args.emit_dot).write_text(multigraph.to_dot(graph, name="blowup"), encoding="utf-8")
+    n_v, n_e = len(model.graph.vertices), len(model.graph.edges)
     summary = {
         "d": args.d,
         "e": args.e,
-        "vertices": len(graph.vertices),
-        "edges": len(graph.edges),
-        "euler": euler_characteristic(graph),
+        "vertices": n_v + (args.e - 1) * n_e,
+        "edges": args.e * n_e,
+        "euler": n_v - n_e,
         "splits": verdict,
     }
     if args.json:
@@ -183,74 +183,90 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+_JSON = _arg("--json", action="store_true")
+_MODEL = _arg("model")
+
+# The one description of the command line: name -> (help, handler, the
+# (flags, keywords) of each ``add_argument`` call).
+COMMANDS = {
+    "construct": ("build the model for a (genus, index) pair", cmd_construct, (
+        _arg("--genus", type=int, required=True),
+        _arg("--index", type=int, required=True),
+        _arg("--out", help="write the model JSON here (default: stdout)"),
+        _arg("--dot", help="also write DOT with vertices colored by orbit"),
+    )),
+    "verify": ("verify the classification over a genus range", cmd_verify, (
+        _arg("--genus-max", type=int, default=12),
+        _arg("--e-max", type=int, default=6, help="largest ramification index checked (at least 1)"),
+        _arg("--genus-one-cap", type=int, default=None,
+             help="largest index checked at genus 1 (default 2*genus_max + 2)"),
+        _arg("--residue-q", type=_parse_q, action="append", default=None,
+             metavar="Q", help="residue cardinality to check (int or 'inf'; repeatable)"),
+        _arg("--model", help="verify one model file instead of the grid"),
+        _JSON,
+        _arg("--out", help="write the report here instead of stdout"),
+    )),
+    "index": ("index of a model file", cmd_index, (_MODEL, _JSON)),
+    "splitting": ("splitting table of a model file", cmd_splitting, (
+        _MODEL,
+        _arg("--m-invariant", action="store_true",
+             help="also report the least splitting degree (finite residue field)"),
+        _JSON,
+    )),
+    "mtheorem": ("closed-form predicted verdict for (genus, index, d, e)", cmd_mtheorem, (
+        _arg("--genus", type=int, required=True),
+        _arg("--index", type=int, required=True),
+        _arg("--d", type=int, required=True),
+        _arg("--e", type=int, required=True),
+        _arg("--case", choices=[c.value for c in Case], default=None),
+        _JSON,
+    )),
+    "oracle": ("blowup-oracle verdict for a model file and (d, e)", cmd_oracle, (
+        _MODEL,
+        _arg("--d", type=int, required=True),
+        _arg("--e", type=int, required=True),
+        _arg("--emit-dot", help="write the subdivided graph as DOT"),
+        _JSON,
+    )),
+    "check": ("realizability checks for a model file", cmd_check, (
+        _MODEL,
+        _arg("--residue-q", type=_parse_q, default=math.inf, metavar="Q"),
+        _arg("--mode", choices=["full", "weak"], default="full"),
+        _JSON,
+    )),
+}
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of ``commands`` (default: all of :data:`COMMANDS`)."""
     parser = argparse.ArgumentParser(
         prog="curveindex",
         description="Dual graphs with cyclic actions: construct models, compute the "
         "index and splitting classification, and verify them against a blowup oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build the model for a (genus, index) pair")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--out", help="write the model JSON here (default: stdout)")
-    p.add_argument("--dot", help="also write DOT with vertices colored by orbit")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="verify the classification over a genus range")
-    p.add_argument("--genus-max", type=int, default=12)
-    p.add_argument("--e-max", type=int, default=6, help="largest ramification index checked (at least 1)")
-    p.add_argument("--genus-one-cap", type=int, default=None,
-                   help="largest index checked at genus 1 (default 2*genus_max + 2)")
-    p.add_argument("--residue-q", type=_parse_q, action="append", default=None,
-                   metavar="Q", help="residue cardinality to check (int or 'inf'; repeatable)")
-    p.add_argument("--model", help="verify one model file instead of the grid")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("index", help="index of a model file")
-    p.add_argument("model")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("splitting", help="splitting table of a model file")
-    p.add_argument("model")
-    p.add_argument("--m-invariant", action="store_true",
-                   help="also report the least splitting degree (finite residue field)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_splitting)
-
-    p = sub.add_parser("mtheorem", help="closed-form predicted verdict for (genus, index, d, e)")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--case", choices=[c.value for c in Case], default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mtheorem)
-
-    p = sub.add_parser("oracle", help="blowup-oracle verdict for a model file and (d, e)")
-    p.add_argument("model")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--emit-dot", help="write the subdivided graph as DOT")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("check", help="realizability checks for a model file")
-    p.add_argument("model")
-    p.add_argument("--residue-q", type=_parse_q, default=math.inf, metavar="Q")
-    p.add_argument("--mode", choices=["full", "weak"], default="full")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
-
+    for name in commands:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named command's subparser is built.  The full parser, whose usage
+    # lists every command, answers help, a missing or unknown command and leftovers.
+    known = bool(argv) and argv[0] in COMMANDS
+    args, extra = build_parser(argv[:1] if known else COMMANDS).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import chain_name_clash_model, circulant_model, corrupted_two_cycle_model
 from curveindex.blowup import oracle_table
-from curveindex.cli import main
+from curveindex.cli import COMMANDS, main
 from curveindex.constructions import CurveModel, construct
 from curveindex.invariants import divisors
 from curveindex.multigraph import euler_characteristic
@@ -18,6 +19,16 @@ from curveindex.serialize import load_model, save_model
 
 def run(capsys, *argv):
     code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def exit_and_output(capsys, call):
+    """Exit code, stdout and stderr of ``call()``; argparse exits on ``--help`` and usage errors."""
+    try:
+        code = call()
+    except SystemExit as stop:
+        code = stop.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -314,3 +325,48 @@ def test_order_above_cap_is_input_error(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "action.order" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["mtheorem", "--genus", "4", "--index", "6", "--d", "3", "--e", "2"], ["mtheorem"]),
+        (["index", "{m}"], ["index"]),
+        (["index", "--help"], ["index"]),
+        (["--help"], list(COMMANDS)),
+        ([], list(COMMANDS)),
+        (["bogus"], list(COMMANDS)),
+        # Leftover arguments are reported by the full parser, whose usage lists every command.
+        (["splitting", "{m}", "--bogus"], ["splitting"] + list(COMMANDS)),
+    ],
+    ids=["mtheorem", "index", "index-help", "help", "no-command", "unknown-command", "leftover-argument"],
+)
+def test_one_call_builds_only_its_subparser(tmp_path, capsys, monkeypatch, argv, built):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    exit_and_output(capsys, lambda: main([a.format(m=path) for a in argv]))
+    assert names == built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["splitting", "{m}", "--json"], ["splitting", "{m}", "--bogus"], ["bogus"]],
+    ids=["valid", "leftover-argument", "unknown-command"],
+)
+def test_console_script_reads_sys_argv(tmp_path, capsys, monkeypatch, argv):
+    # The installed ``curveindex`` script calls main() with no argument.
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    argv = [a.format(m=path) for a in argv]
+    expected = exit_and_output(capsys, lambda: main(argv))
+    monkeypatch.setattr(sys, "argv", ["curveindex", *argv])
+    assert exit_and_output(capsys, main) == expected
+    assert expected[0] == (0 if "--json" in argv else 2)

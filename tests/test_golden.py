@@ -37,7 +37,7 @@ from curveindex.action import CyclicAction, map_power
 from curveindex.cli import build_parser, main
 from curveindex.constructions import as_model, construct, cycle_model
 from curveindex.invariants import divisors
-from curveindex.multigraph import MultiGraph
+from curveindex.multigraph import MultiGraph, euler_characteristic, subdivide
 from curveindex.serialize import model_to_obj
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -207,6 +207,19 @@ def test_help_and_usage_errors_are_the_full_parsers(template, tmp_path):
     code, out, err = captured(main, argv)
     assert (code, out, err) == captured(build_parser().parse_args, argv)
     assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv else (2, False, True))
+
+
+def test_oracle_counts_are_the_subdivided_graphs(tmp_path):
+    # cmd_oracle reads its counts off the model; subdivide builds the graph they describe.
+    path = tmp_path / "model.json"
+    for name, m in valid_models().items():
+        path.write_text(json.dumps(model_to_obj(m)), encoding="utf-8")
+        for e in (1, 2, 5):
+            code, out, err = captured(main, ["oracle", str(path), "--d", "1", "--e", str(e), "--json"])
+            assert (code, err) == (0, ""), name
+            obj, graph = json.loads(out), subdivide(m.graph, e)
+            counts = (len(graph.vertices), len(graph.edges), euler_characteristic(graph))
+            assert (obj["vertices"], obj["edges"], obj["euler"]) == counts, (name, e)
 
 
 def test_parser_calls_cover_every_subcommand():
