@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import eq, ne
 from typing import AbstractSet, Mapping
 
 from .multigraph import MultiGraph
@@ -71,7 +73,11 @@ def cycles(mapping: Mapping[str, str] | list[int]) -> list[list[str]] | list[lis
 
 
 def _cycle_lengths(mapping: Mapping[str, str]) -> dict[str, int]:
-    return {x: len(c) for c in cycles(mapping) for x in c}
+    """Length of the cycle through each key: fixed points read off at 1, and only the moved keys walked."""
+    lengths = dict.fromkeys(compress(mapping, map(eq, mapping, mapping.values())), 1)
+    moved = dict(compress(mapping.items(), map(ne, mapping, mapping.values()))) if lengths else mapping
+    lengths.update({x: len(c) for c in cycles(moved) for x in c})
+    return lengths
 
 
 def map_power(mapping: dict[str, str], k: int) -> dict[str, str]:

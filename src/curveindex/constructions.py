@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .action import CyclicAction, ValidationReport, map_power, validate
-from .multigraph import MultiGraph, degree, is_connected
+from .multigraph import MultiGraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,8 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
     connected = is_connected(m.graph)
     checks.append(RealizabilityCheck("connected", connected))
 
-    too_big = sorted(v for v in m.graph.vertices if degree(m.graph, v) > 3)
+    deg = m.graph.degrees
+    too_big = sorted(compress(deg, map((3).__lt__, deg.values())))  # degree above 3
     checks.append(
         RealizabilityCheck(
             "degree-bound",
@@ -263,7 +265,7 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
     else:
         orbit = m.action.vertex_orbit
         if mode == "full":
-            deg = m.graph.degrees  # q**k > k for q >= 2, so an exponent past the degree cannot change the verdict
+            # q**k > k for q >= 2, so an exponent past the degree cannot change the verdict
             bad = sorted(v for v in m.graph.vertices if deg[v] > q ** min(orbit[v], deg[v]))
             checks.append(
                 RealizabilityCheck(
@@ -273,7 +275,7 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
                 )
             )
         else:
-            good = sorted(v for v, size in orbit.items() if size == 1 and degree(m.graph, v) <= q)
+            good = sorted(v for v, size in orbit.items() if size == 1 and deg[v] <= q)
             checks.append(
                 RealizabilityCheck(
                     "point-supply",

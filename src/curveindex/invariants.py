@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from itertools import repeat
+from operator import attrgetter, mul
 
 from .action import ActionError, CyclicAction
-from .constructions import CurveModel
+from .constructions import UNIT, CurveModel
 
 
 class Case(Enum):
@@ -75,14 +76,19 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
+def _per_vertex(m: CurveModel, key: str):
+    """Each vertex's component ``key`` (``"ns_index"`` or ``"multiplicity"``), in graph order."""
+    return map(attrgetter(key), map(m.components.get, m.graph.vertices, repeat(UNIT)))
+
+
 def index(m: CurveModel) -> int:
     """gcd over components of (orbit size) * (nonsingular index).
 
     This is the index of the curve the model describes: the unramified
     splitting degrees are exactly the multiples of the per-component terms.
     """
-    orbit = m.action.vertex_orbit
-    return reduce(math.gcd, (orbit[v] * m.component(v).ns_index for v in m.graph.vertices))
+    orbits = map(m.action.vertex_orbit.__getitem__, m.graph.vertices)
+    return math.gcd(*map(mul, orbits, _per_vertex(m, "ns_index")))
 
 
 def snc_index(m: CurveModel) -> int:
@@ -91,14 +97,8 @@ def snc_index(m: CurveModel) -> int:
     Extends :func:`index` to models whose components carry multiplicities;
     with unit multiplicities the two agree.
     """
-    orbit = m.action.vertex_orbit
-    return reduce(
-        math.gcd,
-        (
-            orbit[v] * m.component(v).multiplicity * m.component(v).ns_index
-            for v in m.graph.vertices
-        ),
-    )
+    orbits = map(m.action.vertex_orbit.__getitem__, m.graph.vertices)
+    return math.gcd(*map(mul, orbits, map(mul, _per_vertex(m, "multiplicity"), _per_vertex(m, "ns_index"))))
 
 
 def _table(a: CyclicAction) -> dict[tuple[int, int], bool]:

@@ -11,7 +11,7 @@ after construction and may be shared freely.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain as concat, repeat
@@ -44,7 +44,7 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Vertices and edges; derived data (edges by id, degrees, adjacency, connectivity) is cached on first use."""
+    """Vertices and edges; derived data (vertex set, edges by id, degrees, connectivity) is cached on first use."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -52,17 +52,17 @@ class MultiGraph:
     def __post_init__(self) -> None:
         if not self.vertices:
             raise GraphError("a multigraph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        vs = self.vertex_set
+        if len(vs) != len(self.vertices):
             dupes = [v for v, k in Counter(self.vertices).items() if k > 1]
             raise GraphError(f"duplicate vertex identifiers: {dupes}")
-        ids = [e.id for e in self.edges]
+        ids, tails, heads = tuple(zip(*self.edges)) or ((), (), ())
         if len(set(ids)) != len(ids):
             dupes = [i for i, k in Counter(ids).items() if k > 1]
             raise GraphError(f"duplicate edge identifiers: {dupes}")
-        vs = set(self.vertices)
-        for e in self.edges:
-            if e.tail not in vs or e.head not in vs:
-                raise GraphError(f"edge {e.id!r} has an unknown endpoint ({e.tail!r}, {e.head!r})")
+        if not vs.issuperset(tails) or not vs.issuperset(heads):  # the endpoint law, whole; then name its first breach
+            e = next(e for e in self.edges if e.tail not in vs or e.head not in vs)
+            raise GraphError(f"edge {e.id!r} has an unknown endpoint ({e.tail!r}, {e.head!r})")
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "MultiGraph":
@@ -87,25 +87,18 @@ class MultiGraph:
         return deg
 
     @cached_property
-    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        """Neighbors of each vertex, with repetition per parallel edge."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            if not e.is_loop:
-                adj[e.head].append(e.tail)
-        return {v: tuple(ns) for v, ns in adj.items()}
-
-    @cached_property
     def connected(self) -> bool:
+        neighbours: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for _, tail, head in self.edges:
+            neighbours[tail].append(head)
+            neighbours[head].append(tail)
         seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
+        stack = [self.vertices[0]]
+        while stack:
+            for w in neighbours[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    stack.append(w)
         return len(seen) == len(self.vertices)
 
 
@@ -115,7 +108,7 @@ def euler_characteristic(g: MultiGraph) -> int:
 
 
 def is_connected(g: MultiGraph) -> bool:
-    """Whether a breadth-first search from the first vertex reaches every vertex (cached per graph)."""
+    """Whether a depth-first search from the first vertex reaches every vertex (cached per graph)."""
     return g.connected
 
 

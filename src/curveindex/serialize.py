@@ -25,17 +25,18 @@ shape, action laws, connectivity) and raises :class:`ModelFormatError` with
 the offending location; so does a file the JSON decoder refuses, including
 one nested past the interpreter's stack or holding an integer past
 ``int``'s digit limit.  A lawful file costs whole-list type checks of the
-graph and action, a check per component entry and one pass per law; only a
-failed list or law is scanned item by item for the message.  The model
-keeps its validation report (:attr:`CurveModel.validation`), so checking it
-later validates nothing again.
+graph and action, one whole-column test of the components and one pass per
+law; only a failed list, column or law is scanned item by item for the
+message.  The model keeps its validation report
+(:attr:`CurveModel.validation`), so checking it later validates nothing again.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
+from operator import mul, ne
 from pathlib import Path
 
 from . import multigraph
@@ -116,7 +117,7 @@ def model_from_obj(obj: dict) -> CurveModel:
     raw = obj.get("components", {})
     if not isinstance(raw, dict):
         raise ModelFormatError("components must be an object keyed by vertex id")
-    for v, entry in raw.items():
+    for v, entry in _entries_to_check(raw, graph.vertex_set):
         if v not in graph.vertex_set:
             raise ModelFormatError(f"components[{v!r}]: unknown vertex")
         if not isinstance(entry, dict):
@@ -145,6 +146,19 @@ def model_from_obj(obj: dict) -> CurveModel:
     model = CurveModel(graph, action, components, claimed)
     vars(model)["validation"] = report  # the cached property: the model's checks need not validate again
     return model
+
+
+def _entries_to_check(raw: dict, vertices: frozenset[str]):
+    """The component entries to read one by one: each entry, unless every one is an object keyed by a vertex
+    whose ``ns_index`` and ``multiplicity`` (1 if omitted) are exact ``int``s >= 1; then those not 1/1."""
+    entries = list(raw.values())
+    if not raw.keys() <= vertices or not all(map(isinstance, entries, repeat(dict))):
+        return raw.items()
+    ns, mult = (list(map(dict.get, entries, repeat(key), repeat(1))) for key in ("ns_index", "multiplicity"))
+    both = ns + mult
+    if not set(map(type, both)) <= {int} or min(both, default=1) < 1:
+        return raw.items()
+    return compress(raw.items(), map(ne, map(mul, ns, mult), repeat(1)))
 
 
 def _container(entries: list[str], brackets: str, indent: str) -> str:

@@ -319,6 +319,19 @@ def naive_from_json_obj(obj):
     return MultiGraph.build(vertices, edges)
 
 
+def naive_connected(g):
+    """Whether a breadth-first search over an adjacency map built edge by edge reaches every vertex."""
+    adjacency = {v: set() for v in g.vertices}
+    for e in g.edges:
+        adjacency[e.tail].add(e.head)
+        adjacency[e.head].add(e.tail)
+    seen = frontier = {g.vertices[0]}
+    while frontier:
+        frontier = {w for v in frontier for w in adjacency[v]} - seen
+        seen = seen | frontier
+    return seen == set(g.vertices)
+
+
 def naive_dumps_model(m):
     """``serialize.dumps_model`` by way of ``model_to_obj``'s dicts and the stdlib encoder."""
     return json.dumps(model_to_obj(m), indent=2, sort_keys=True) + "\n"

@@ -18,6 +18,7 @@ from curveindex.action import ActionError, CyclicAction, cycles, map_power, vali
 from curveindex.constructions import as_model, coathanger_chain, construct, cycle_model, mobius_ladder
 from curveindex.invariants import ExtensionSpec, divisors, splits, splitting_report
 from curveindex.multigraph import Edge, MultiGraph, is_connected
+from curveindex.serialize import load_model, save_model
 
 
 def test_rotation_on_six_cycle_validates():
@@ -164,6 +165,47 @@ def test_cached_orbits_and_exact_order(model_pool):
         powers = [k for k in range(1, a.order + 1) if naive_power(a.vertex_map, k) == {v: v for v in a.vertex_map}
                   and naive_power(a.edge_map, k) == {e: e for e in a.edge_map}]
         assert a.exact_order == powers[0]
+
+
+def reflection(n, shift):
+    """The reflection ``i -> shift - i`` of the ``n``-cycle: it fixes vertices for even ``shift``, edges for odd."""
+    graph, _ = cycle_model(n)
+    vmap = {str(i): str((shift - i) % n) for i in range(n)}
+    emap = {f"c{i}": f"c{(shift - i - 1) % n}" for i in range(n)}
+    return graph, CyclicAction(2, vmap, emap)
+
+
+def test_orbits_of_maps_mixing_fixed_and_moved_entries():
+    three_cycle = CyclicAction(3, {"a": "b", "b": "c", "c": "a", "p": "p", "q": "q"}, {"x": "x", "y": "z", "z": "y"})
+    actions = [three_cycle]
+    for shift in (0, 1):
+        graph, action = reflection(6, shift)
+        assert validate(graph, action).ok
+        actions.append(action)
+    for a in actions:
+        assert a.vertex_orbit == {x: len(c) for c in cycles(a.vertex_map) for x in c}
+        assert a.edge_orbit == {x: len(c) for c in cycles(a.edge_map) for x in c}
+    assert three_cycle.vertex_orbit == {"a": 3, "b": 3, "c": 3, "p": 1, "q": 1}
+    assert actions[1].vertex_orbit == {"0": 1, "3": 1, "1": 2, "5": 2, "2": 2, "4": 2}
+    assert actions[2].edge_orbit == {"c0": 1, "c3": 1, "c1": 2, "c5": 2, "c2": 2, "c4": 2}
+    with pytest.raises(ActionError, match="^not a permutation: the walk from 'b' never returns$"):
+        CyclicAction(1, {"a": "a", "b": "a"}, {}).vertex_orbit
+
+
+def test_loading_walks_only_moved_entries(tmp_path, monkeypatch):
+    walked = []
+
+    def counting_cycles(perm):
+        walked.append(len(perm))
+        return cycles(perm)
+
+    monkeypatch.setattr("curveindex.action.cycles", counting_cycles)
+    for (g, i), expected in (((1001, 1), [0, 0]), ((24, 46), [46, 69])):  # the identity, then a free action
+        path = tmp_path / f"{g}_{i}.json"
+        save_model(construct(g, i), path)
+        walked.clear()
+        load_model(path)
+        assert walked == expected
 
 
 def test_fixed_and_stabilized_match_powers(model_pool):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import are_isomorphic, naive_from_json_obj
+from conftest import are_isomorphic, naive_connected, naive_from_json_obj
 from curveindex.constructions import coathanger_chain, mobius_ladder
 from curveindex.multigraph import (
     Edge,
@@ -81,6 +81,9 @@ def test_duplicate_edge_ids_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(GraphError, match="unknown endpoint"):
         MultiGraph.build(["a"], [("e", "a", "b")])
+    edges = [("e0", "a", "b"), ("e1", "b", "a"), ("e2", "b", "c"), ("e3", "z", "a")]
+    with pytest.raises(GraphError, match=r"^edge 'e2' has an unknown endpoint \('b', 'c'\)$"):
+        MultiGraph.build(["a", "b"], edges)
 
 
 # euler characteristic
@@ -164,6 +167,23 @@ def test_mobius_ladders_connected():
     for g in range(2, 9):
         graph, _ = mobius_ladder(g)
         assert is_connected(graph)
+
+
+def test_connectivity_matches_a_reference_search(model_pool):
+    graphs = [m.graph for m in model_pool]
+    graphs += [
+        MultiGraph.build(["v"], []),
+        MultiGraph.build(["v"], [("l", "v", "v")]),
+        MultiGraph.build(["a", "b"], [("l", "a", "a"), ("m", "b", "b")]),
+        MultiGraph.build(["a", "b"], [("p", "a", "b"), ("q", "b", "a"), ("l", "b", "b")]),
+        MultiGraph.build(["a", "b", "c"], [("p", "a", "b"), ("q", "a", "b")]),  # c isolated
+        MultiGraph.build(["c", "a", "b"], [("p", "a", "b"), ("q", "a", "b")]),  # the search starts at the isolated c
+    ]
+    rng = random.Random(11)
+    graphs += [random_multigraph(rng) for _ in range(100)]
+    assert {is_connected(g) for g in graphs} == {True, False}
+    for g in graphs:
+        assert is_connected(g) == naive_connected(g), g
 
 
 # subdivision

@@ -16,7 +16,7 @@ from conftest import (
 from curveindex import serialize
 from curveindex.action import CyclicAction
 from curveindex.cli import main
-from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
+from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import index, splitting_report
 from curveindex.multigraph import MultiGraph
 from curveindex.serialize import (
@@ -230,6 +230,49 @@ def test_rejects_json_booleans(tmp_path, capsys, field, value):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["index", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def with_entry_after(components, key, new_key, entry):
+    """``components`` with ``new_key: entry`` placed right after ``key``, keeping every other entry in place."""
+    items = list(components.items())
+    at = [k for k, _ in items].index(key) + 1
+    return dict(items[:at] + [(new_key, entry)] + [(k, v) for k, v in items[at:] if k != new_key])
+
+
+@pytest.mark.parametrize(
+    "key,entry,message",
+    [
+        ("100", {"ns_index": True}, "components['100']: ns_index/multiplicity must be integers"),
+        ("100", {"multiplicity": 0}, "components['100']: ns_index and multiplicity must be positive"),
+        ("100", {"ns_index": 1.0}, "components['100']: ns_index/multiplicity must be integers"),
+        ("100", "x", "components['100'] must be an object"),
+        ("zz", {"ns_index": 1}, "components['zz']: unknown vertex"),
+    ],
+)
+def test_rejects_a_bad_component_entry_by_its_first_entry_message(tmp_path, capsys, key, entry, message):
+    # The bad entry sits in the middle of a large document, after valid entries and before a later bad one.
+    obj = model_to_obj(construct(101, 200))
+    obj["components"] = with_entry_after(obj["components"], "100", key, entry)
+    obj["components"]["150"] = "y"
+    with pytest.raises(ModelFormatError) as caught:
+        model_from_obj(obj)
+    assert str(caught.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["index", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_mixed_component_entries_load_as_written():
+    m = construct(101, 200)
+    obj = model_to_obj(m)
+    written = {"3": {"ns_index": 2}, "7": {"multiplicity": 4}, "9": {"ns_index": 5, "multiplicity": 3}, "11": {}}
+    obj["components"].update(written)
+    del obj["components"]["13"]
+    loaded = model_from_obj(obj).components
+    expected = dict(m.components, **{"3": Component(2, 1), "7": Component(1, 4), "9": Component(5, 3)})
+    assert loaded == expected
+    assert all(loaded[v] is UNIT for v in m.graph.vertices if v not in {"3", "7", "9"})
 
 
 @pytest.mark.parametrize("key", ["vertices", "edges"])
