@@ -36,17 +36,17 @@ def _positions(m: CurveModel) -> tuple[list[int], list[tuple[int, int]]]:
     return [vertex_at[gen_v[v]] for v in g.vertices], list(zip(images, steps))
 
 
-def _chains(head: list[int], edges: list[tuple[int, int]], start: int, width: int) -> list[int]:
-    """``head`` followed by each edge's chain of ``width`` positions, counted from ``start``.
+def _chains(edges: list[tuple[int, int]], width: int) -> list[int]:
+    """Each edge's chain of ``width`` positions, numbered from 0.
 
-    With the model's vertex images as ``head``, ``start = |V|`` and
-    ``width = e - 1`` this is the transported generator on the vertex tuple
-    of ``subdivide(m.graph, e)``, which puts edge ``k``'s chain at positions
+    With ``width = e - 1``, and offset by ``|V|`` after the model's vertex
+    images, this is the transported generator on the vertex tuple of
+    ``subdivide(m.graph, e)``, which puts edge ``k``'s chain at positions
     ``|V| + k(e-1) ...`` from its tail.
     """
-    perm = list(head)
+    perm = []
     for j, step in edges:
-        perm += range(start + j * width, start + (j + 1) * width)[::step]
+        perm += range(j * width, (j + 1) * width)[::step]
     return perm
 
 
@@ -60,7 +60,7 @@ def _depth_lengths(own: set[int], edges: list[tuple[int, int]], e: int) -> set[i
     The model's vertices map among themselves and the chains among
     themselves, so only the chains, renumbered from 0, are walked.
     """
-    return own | _lengths(_chains([], edges, 0, e - 1)) if e > 1 else own
+    return own | _lengths(_chains(edges, e - 1)) if e > 1 else own
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:

@@ -75,9 +75,6 @@ class CurveModel:
     components: dict[str, Component] = field(default_factory=dict)
     claimed: tuple[int, int] | None = None  # (genus, index) the model is built to have
 
-    def component(self, v: str) -> Component:
-        return self.components.get(v, UNIT)
-
     @cached_property
     def validation(self) -> ValidationReport:
         """``validate(graph, action)``, made once per model (a model file's parser stores the one it made)."""

@@ -37,10 +37,6 @@ class Edge(NamedTuple):
         """The unordered endpoint pair (a singleton frozenset for loops)."""
         return frozenset((self.tail, self.head))
 
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.head
-
 
 @dataclass(frozen=True)
 class MultiGraph:

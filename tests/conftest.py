@@ -41,7 +41,7 @@ def _pair_counts(g: MultiGraph) -> tuple[dict[frozenset[str], int], dict[str, in
     pairs: dict[frozenset[str], int] = Counter()
     loops: dict[str, int] = Counter()
     for e in g.edges:
-        if e.is_loop:
+        if e.tail == e.head:
             loops[e.tail] += 1
         else:
             pairs[e.ends] += 1
@@ -218,6 +218,36 @@ def handcrafted_models():
         flipped_path_model(),
         corrupted_two_cycle_model(),
     ]
+
+
+def prism_model(n, s):
+    """The prism ``C_n x K_2`` rotated by ``s`` steps, acting freely with no flipped edge.
+
+    Vertices ``i.0``/``i.1`` for ``i`` mod ``n``; ring edge ``r<l>.<i>`` runs
+    from ``i.l`` to ``(i+1).l`` and rung ``u<i>`` from ``i.0`` to ``i.1``.
+    Claims the genus ``n + 1`` and the rotation's order.
+    """
+    order = n // math.gcd(n, s)
+    vertices = [f"{i}.{l}" for i in range(n) for l in (0, 1)]
+    edges = [(f"r{l}.{i}", f"{i}.{l}", f"{(i + 1) % n}.{l}") for i in range(n) for l in (0, 1)]
+    edges += [(f"u{i}", f"{i}.0", f"{i}.1") for i in range(n)]
+    shift = {i: (i + s) % n for i in range(n)}
+    vmap = {f"{i}.{l}": f"{shift[i]}.{l}" for i in range(n) for l in (0, 1)}
+    emap = {f"r{l}.{i}": f"r{l}.{shift[i]}" for i in range(n) for l in (0, 1)}
+    emap.update({f"u{i}": f"u{shift[i]}" for i in range(n)})
+    return as_model(MultiGraph.build(vertices, edges), CyclicAction(order, vmap, emap), claimed=(n + 1, order))
+
+
+def antipodal_cube_model():
+    """The 3-cube with the antipodal map, which stabilizes no vertex or edge; claims ``(5, 2)``.
+
+    Vertices are the bit strings ``0..7``; edge ``x^k`` runs from ``x`` (bit
+    ``k`` clear) to ``x`` with bit ``k`` set.
+    """
+    edges = [(f"{x}^{k}", str(x), str(x | 1 << k)) for x in range(8) for k in range(3) if not x >> k & 1]
+    vmap = {str(x): str(7 - x) for x in range(8)}
+    emap = {f"{x}^{k}": f"{(7 - x) ^ 1 << k}^{k}" for x in range(8) for k in range(3) if not x >> k & 1}
+    return as_model(MultiGraph.build(map(str, range(8)), edges), CyclicAction(2, vmap, emap), claimed=(5, 2))
 
 
 def circulant_model(order, k, rng):

@@ -66,7 +66,7 @@ def corruptions(graph, action, rng):
     cases = [(graph, CyclicAction(order, images, emap)) for images in broken(vmap, *rng.sample(list(vmap), 2))]
     cases += [(graph, CyclicAction(order, vmap, images)) for images in broken(emap, *rng.sample(list(emap), 2))]
     cases.append((graph, CyclicAction(order + 1, vmap, emap)))  # no cycle length > 1 dividing I divides I + 1
-    flip = rng.choice([e for e in graph.edges if not e.is_loop])
+    flip = rng.choice([e for e in graph.edges if e.tail != e.head])
     edges = tuple(Edge(e.id, e.head, e.tail) if e is flip else e for e in graph.edges)
     cases.append((MultiGraph(graph.vertices, edges), action))
     return cases
@@ -328,7 +328,7 @@ def test_loop_voltage_zero_disconnected():
     quotient = MultiGraph.build(["v"], [("l", "v", "v")])
     graph, action = lift_voltage_graph(quotient, {"l": 0}, 3)
     assert len(graph.vertices) == 3 and len(graph.edges) == 3
-    assert all(e.is_loop for e in graph.edges)
+    assert all(e.tail == e.head for e in graph.edges)
     assert not is_connected(graph)
     assert validate(graph, action).ok
 

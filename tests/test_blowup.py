@@ -25,7 +25,7 @@ from curveindex.verify import check_model
 def oracle_vertex_map(m, e):
     """The oracle's transported generator at depth ``e``, named through ``subdivide(m.graph, e)``'s vertex tuple."""
     vertices, edges = blowup._positions(m)
-    perm = blowup._chains(vertices, edges, len(vertices), e - 1)
+    perm = vertices + [len(vertices) + i for i in blowup._chains(edges, e - 1)]
     names = subdivide(m.graph, e).vertices
     return {v: names[i] for v, i in zip(names, perm)}
 

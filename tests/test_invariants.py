@@ -1,20 +1,24 @@
 import math
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
 
 from conftest import (
     admissible_cells,
+    antipodal_cube_model,
     circulant_model,
     flipped_path_model,
+    handcrafted_models,
     naive_power,
     orbit_sizes,
+    prism_model,
     single_edge_swap_model,
 )
 from curveindex.action import CyclicAction
 from curveindex.blowup import oracle_table
-from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
+from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import (
     Case,
     ExtensionSpec,
@@ -81,7 +85,7 @@ def test_index_divides_each_vertex_term(model_pool):
         sizes = orbit_sizes(m.action, 1)
         value = index(m)
         for v in m.graph.vertices:
-            assert (sizes[v] * m.component(v).ns_index) % value == 0
+            assert (sizes[v] * m.components.get(v, UNIT).ns_index) % value == 0
 
 
 def test_index_divides_subfield_degree_times_subindex(model_pool):
@@ -92,7 +96,7 @@ def test_index_divides_subfield_degree_times_subindex(model_pool):
         for d in divisors(m.action.order):
             sizes = orbit_sizes(m.action, d)
             sub_value = reduce(
-                math.gcd, (sizes[v] * m.component(v).ns_index for v in m.graph.vertices)
+                math.gcd, (sizes[v] * m.components.get(v, UNIT).ns_index for v in m.graph.vertices)
             )
             assert (d * sub_value) % value == 0
 
@@ -104,7 +108,7 @@ def test_index_divides_two_genus_minus_two(model_pool):
     grid = [construct(g, i) for g, i in admissible_cells(12)]
     checked = 0
     for m in list(model_pool) + grid + circulants:
-        if all(m.component(v).ns_index == 1 for v in m.graph.vertices):
+        if all(m.components.get(v, UNIT).ns_index == 1 for v in m.graph.vertices):
             assert (2 * arithmetic_genus(m.graph) - 2) % index(m) == 0, (m.claimed, index(m))
             checked += 1
     assert checked >= len(grid) + len(circulants)
@@ -278,13 +282,44 @@ def test_index_and_m_invariant_read_off_the_oracle(model_pool):
     grid = [construct(g, i) for g, i in admissible_cells(12)]
     checked = 0
     for m in list(model_pool) + grid + circulants:
-        if all(m.component(v).ns_index == 1 for v in m.graph.vertices):
+        if all(m.components.get(v, UNIT).ns_index == 1 for v in m.graph.vertices):
             degrees = [d * e for (d, e), value in oracle_table(m, 2).items() if value]
             assert index(m) == reduce(math.gcd, degrees), m.claimed
             report = splitting_report(m)
             assert report.m_invariant == min(d * e for (d, e), value in oracle_table(m, 6).items() if value), m.claimed
             checked += 1
     assert checked >= len(model_pool) + len(grid) + len(circulants)
+
+
+def test_case_law_on_free_actions(model_pool):
+    # A free vertex action of Z/I has edge orbits of size I, or of size I/2 with their edges flipped;
+    # so g - 1 = I(b - a) + (I/2)c, Case 1 (c = 0) forces I | g - 1, Case 2 needs I even, and the
+    # closed-form prediction holds with the computed case.
+    candidates = list(model_pool) + handcrafted_models()
+    candidates += [prism_model(n, s) for n, s in ((2, 1), (4, 1), (6, 1), (6, 2))] + [antipodal_cube_model()]
+    free = [
+        m for m in candidates
+        if set(m.action.vertex_orbit.values()) == {m.action.order}
+        and all(m.components.get(v, UNIT) == UNIT for v in m.graph.vertices)
+    ]
+    cases = set()
+    for m in free:
+        order, genus = m.action.order, arithmetic_genus(m.graph)
+        report = splitting_report(m)
+        edge_lengths = Counter(m.action.edge_orbit.values())
+        assert set(edge_lengths) <= {order, order // 2}, m.claimed
+        a, b, c = len(m.graph.vertices) // order, edge_lengths[order] // order, 2 * edge_lengths[order // 2] // order
+        assert genus - 1 == order * (b - a) + (order // 2) * c, m.claimed
+        if report.case is Case.CASE1:
+            assert c == 0 and (genus - 1) % order == 0, m.claimed
+        else:
+            assert c > 0 and order % 2 == 0, m.claimed
+        assert report.table == {
+            (d, e): main_theorem_prediction(genus, order, ExtensionSpec(d, e), report.case) for d, e in report.table
+        }
+        assert oracle_table(m, 8) == {(d, e): report.table[(d, 2 - e % 2)] for d in divisors(order) for e in range(1, 9)}
+        cases.add(report.case)
+    assert cases == {Case.CASE1, Case.CASE2} and len(free) >= 100
 
 
 def test_report_invariants(model_pool):

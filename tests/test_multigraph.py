@@ -366,7 +366,7 @@ def test_json_type_checks_match_the_item_by_item_reference():
 def test_edges_are_immutable_records():
     edge = from_json_obj({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"id": "e", "ends": ["a", "b"]}]}).edges[0]
     assert edge == Edge("e", "a", "b") and (edge.id, edge.tail, edge.head) == ("e", "a", "b")
-    assert edge.ends == {"a", "b"} and not edge.is_loop
+    assert edge.ends == {"a", "b"} and edge.tail != edge.head
     with pytest.raises(AttributeError):
         edge.tail = "b"
 

@@ -55,8 +55,8 @@ def test_components_default_when_missing():
     obj = model_to_obj(construct(1, 3))
     obj["components"] = {"0": {"ns_index": 2}}
     m = model_from_obj(obj)
-    assert m.component("0") == Component(ns_index=2, multiplicity=1)
-    assert m.component("1") == Component()
+    assert m.components.get("0", UNIT) == Component(ns_index=2, multiplicity=1)
+    assert m.components.get("1", UNIT) == Component()
 
 
 def test_unit_components_are_shared(tmp_path, monkeypatch):
