@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain as concat, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 
@@ -166,61 +165,6 @@ def subdivide(g: MultiGraph, e: int) -> MultiGraph:
         path = [ed.tail, *inner, ed.head]
         edges += ((f"{ed.id}#{k}", path[k], path[k + 1]) for k in range(e))
     return MultiGraph.build(vertices, edges)
-
-
-def to_json_obj(g: MultiGraph) -> dict:
-    return {
-        "vertices": [{"id": v} for v in g.vertices],
-        "edges": [{"id": e.id, "ends": [e.tail, e.head]} for e in g.edges],
-    }
-
-
-def from_json_obj(obj: dict) -> MultiGraph:
-    if not isinstance(obj, dict):
-        raise GraphError("graph object must be a JSON object")
-    try:
-        raw_vertices = obj["vertices"]
-        raw_edges = obj["edges"]
-    except KeyError as missing:
-        raise GraphError(f"graph object lacks key {missing}") from None
-    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
-        raise GraphError("graph.vertices and graph.edges must be lists")
-    vertices, edges = _column(raw_vertices, "id", str), _edge_triples(raw_edges)
-    if vertices is None or edges is None:
-        _raise_first_bad_entry(raw_vertices, raw_edges)
-    return MultiGraph.build(vertices, edges)
-
-
-# A graph document is type-checked a whole list at a time; only a document
-# that fails is scanned item by item, for the first bad entry and its message.
-
-def _column(items: list, key: str, kind: type) -> list | None:
-    """``item[key]`` for every item, or None unless every item is an object whose ``key`` is a ``kind``."""
-    if not all(map(isinstance, items, repeat(dict))):
-        return None
-    column = list(map(dict.get, items, repeat(key)))
-    return column if all(map(isinstance, column, repeat(kind))) else None
-
-
-def _edge_triples(raw_edges: list) -> Iterable[tuple[str, str, str]] | None:
-    """``(id, tail, head)`` for every edge, or None unless each is an object with a string id and two string ends."""
-    ids, ends = _column(raw_edges, "id", str), _column(raw_edges, "ends", list)
-    if ids is None or ends is None or set(map(len, ends)) - {2}:
-        return None
-    flat = list(concat.from_iterable(ends))
-    return zip(ids, flat[::2], flat[1::2]) if all(map(isinstance, flat, repeat(str))) else None
-
-
-def _raise_first_bad_entry(raw_vertices: list, raw_edges: list) -> None:
-    for i, item in enumerate(raw_vertices):
-        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
-            raise GraphError(f"vertices[{i}] must be an object with a string 'id'")
-    for i, item in enumerate(raw_edges):
-        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
-            raise GraphError(f"edges[{i}] must be an object with a string 'id'")
-        ends = item.get("ends")
-        if not isinstance(ends, list) or len(ends) != 2 or not all(map(isinstance, ends, (str, str))):
-            raise GraphError(f"edges[{i}].ends must be a pair of vertex ids")
 
 
 def _quoted(text: str) -> str:

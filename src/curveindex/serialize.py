@@ -1,6 +1,6 @@
-"""Model files: one JSON document per curve model.
+"""Model files, one JSON document per curve model: the one module that knows their layout.
 
-Layout::
+Every section is read and written here, the graph section included::
 
     {
       "graph":      {"vertices": [{"id": "0"}, ...],
@@ -34,15 +34,14 @@ message.  The model keeps its validation report
 from __future__ import annotations
 
 import json
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul, ne
 from pathlib import Path
 
-from . import multigraph
 from .action import CyclicAction, validate
 from .constructions import UNIT, Component, CurveModel
-from .multigraph import GraphError, is_connected
+from .multigraph import GraphError, MultiGraph, is_connected
 
 
 class ModelFormatError(ValueError):
@@ -59,8 +58,52 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def action_to_obj(a: CyclicAction) -> dict:
-    return {"order": a.order, "vertex_map": dict(a.vertex_map), "edge_map": dict(a.edge_map)}
+def graph_from_obj(obj: dict) -> MultiGraph:
+    if not isinstance(obj, dict):
+        raise GraphError("graph object must be a JSON object")
+    try:
+        raw_vertices = obj["vertices"]
+        raw_edges = obj["edges"]
+    except KeyError as missing:
+        raise GraphError(f"graph object lacks key {missing}") from None
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphError("graph.vertices and graph.edges must be lists")
+    vertices, edges = _column(raw_vertices, "id", str), _edge_triples(raw_edges)
+    if vertices is None or edges is None:
+        _raise_first_bad_entry(raw_vertices, raw_edges)
+    return MultiGraph.build(vertices, edges)
+
+
+# A graph section is type-checked a whole list at a time; only a section
+# that fails is scanned item by item, for the first bad entry and its message.
+
+def _column(items: list, key: str, kind: type) -> list | None:
+    """``item[key]`` for every item, or None unless every item is an object whose ``key`` is a ``kind``."""
+    if not all(map(isinstance, items, repeat(dict))):
+        return None
+    column = list(map(dict.get, items, repeat(key)))
+    return column if all(map(isinstance, column, repeat(kind))) else None
+
+
+def _edge_triples(raw_edges: list) -> zip | None:
+    """``(id, tail, head)`` for every edge, or None unless each is an object with a string id and two string ends."""
+    ids, ends = _column(raw_edges, "id", str), _column(raw_edges, "ends", list)
+    if ids is None or ends is None or set(map(len, ends)) - {2}:
+        return None
+    flat = list(chain.from_iterable(ends))
+    return zip(ids, flat[::2], flat[1::2]) if all(map(isinstance, flat, repeat(str))) else None
+
+
+def _raise_first_bad_entry(raw_vertices: list, raw_edges: list) -> None:
+    for i, item in enumerate(raw_vertices):
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise GraphError(f"vertices[{i}] must be an object with a string 'id'")
+    for i, item in enumerate(raw_edges):
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise GraphError(f"edges[{i}] must be an object with a string 'id'")
+        ends = item.get("ends")
+        if not isinstance(ends, list) or len(ends) != 2 or not all(map(isinstance, ends, (str, str))):
+            raise GraphError(f"edges[{i}].ends must be a pair of vertex ids")
 
 
 def action_from_obj(obj: dict) -> CyclicAction:
@@ -81,9 +124,13 @@ def action_from_obj(obj: dict) -> CyclicAction:
 
 
 def model_to_obj(m: CurveModel) -> dict:
+    a, g = m.action, m.graph
     obj = {
-        "graph": multigraph.to_json_obj(m.graph),
-        "action": action_to_obj(m.action),
+        "graph": {
+            "vertices": [{"id": v} for v in g.vertices],
+            "edges": [{"id": e, "ends": [tail, head]} for e, tail, head in g.edges],
+        },
+        "action": {"order": a.order, "vertex_map": dict(a.vertex_map), "edge_map": dict(a.edge_map)},
         "components": {
             v: {"ns_index": c.ns_index, "multiplicity": c.multiplicity}
             for v, c in sorted(m.components.items())
@@ -98,7 +145,7 @@ def model_from_obj(obj: dict) -> CurveModel:
     if not isinstance(obj, dict):
         raise ModelFormatError("model must be a JSON object")
     try:
-        graph = multigraph.from_json_obj(obj.get("graph"))
+        graph = graph_from_obj(obj.get("graph"))
     except GraphError as err:
         raise ModelFormatError(f"graph: {err}") from None
     action = action_from_obj(obj.get("action"))

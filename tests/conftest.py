@@ -319,7 +319,7 @@ def naive_validate(g, a):
 
 
 def naive_from_json_obj(obj):
-    """``multigraph.from_json_obj`` type-checking item by item, with no whole-list test first."""
+    """``serialize.graph_from_obj`` type-checking item by item, with no whole-list test first."""
     if not isinstance(obj, dict):
         raise GraphError("graph object must be a JSON object")
     try:

@@ -1,23 +1,19 @@
-import copy
 import random
 
 import pytest
 
-from conftest import are_isomorphic, naive_connected, naive_from_json_obj
+from conftest import are_isomorphic, naive_connected
 from curveindex.constructions import coathanger_chain, mobius_ladder
 from curveindex.multigraph import (
-    Edge,
     GraphError,
     MultiGraph,
     arithmetic_genus,
     chain_separator,
     degree,
     euler_characteristic,
-    from_json_obj,
     is_connected,
     subdivide,
     to_dot,
-    to_json_obj,
 )
 
 
@@ -309,66 +305,6 @@ def test_relabelled_graph_is_isomorphic():
             ((e.id, names[e.tail], names[e.head]) for e in g.edges),
         )
         assert are_isomorphic(g, relabelled)
-
-
-# serialization of bare graphs
-
-def test_json_roundtrip():
-    graph, _ = mobius_ladder(3)
-    assert from_json_obj(to_json_obj(graph)) == graph
-
-
-def test_json_rejects_bad_ends():
-    with pytest.raises(GraphError):
-        from_json_obj({"vertices": [{"id": "a"}], "edges": [{"id": "e", "ends": ["a"]}]})
-
-
-ODD_VALUES = [None, True, 0, 1.5, "a", [], ["a"], ["a", "b", "c"], ["a", 1], {}, {"id": 1}, {"ends": ["a", "b"]}]
-
-
-def mutated_graph_objs(count, seed):
-    """Graph documents with one to three nodes replaced by an ill-typed value or dropped."""
-    rng = random.Random(seed)
-    bases = [to_json_obj(mobius_ladder(g)[0]) for g in (2, 3, 5)]
-    for _ in range(count):
-        obj = copy.deepcopy(rng.choice(bases))
-        for _ in range(rng.randint(1, 3)):
-            parent = obj[rng.choice(["vertices", "edges"])]
-            if not isinstance(parent, list) or not parent:
-                continue
-            key = rng.randrange(len(parent))
-            while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.6:
-                parent = parent[key]
-                key = rng.choice(list(parent)) if isinstance(parent, dict) else rng.randrange(len(parent))
-            if rng.random() < 0.25:
-                del parent[key]
-            else:
-                parent[key] = copy.deepcopy(rng.choice(ODD_VALUES))
-        yield obj
-
-
-def test_json_type_checks_match_the_item_by_item_reference():
-    outcomes = set()
-    for obj in mutated_graph_objs(400, seed=10):
-        try:
-            want = naive_from_json_obj(obj)
-        except GraphError as err:
-            with pytest.raises(GraphError) as got:
-                from_json_obj(obj)
-            assert str(got.value) == str(err)
-            outcomes.add(str(err).split("[")[0])
-        else:
-            assert from_json_obj(obj) == want
-            outcomes.add("graph")
-    assert {"graph", "vertices", "edges"} <= outcomes  # lawful documents, and type errors in either list
-
-
-def test_edges_are_immutable_records():
-    edge = from_json_obj({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"id": "e", "ends": ["a", "b"]}]}).edges[0]
-    assert edge == Edge("e", "a", "b") and (edge.id, edge.tail, edge.head) == ("e", "a", "b")
-    assert edge.ends == {"a", "b"} and edge.tail != edge.head
-    with pytest.raises(AttributeError):
-        edge.tail = "b"
 
 
 def test_dot_contains_edge_labels():

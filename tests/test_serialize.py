@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -10,19 +11,21 @@ from conftest import (
     corrupted_two_cycle_model,
     handcrafted_models,
     naive_dumps_model,
+    naive_from_json_obj,
     random_voltage_models,
     weighted_model,
 )
 from curveindex import serialize
 from curveindex.action import CyclicAction
 from curveindex.cli import main
-from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model
+from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model, mobius_ladder
 from curveindex.invariants import index, splitting_report
-from curveindex.multigraph import MultiGraph
+from curveindex.multigraph import Edge, GraphError, MultiGraph
 from curveindex.serialize import (
     MAX_ORDER,
     ModelFormatError,
     dumps_model,
+    graph_from_obj,
     load_model,
     model_from_obj,
     model_to_obj,
@@ -89,13 +92,19 @@ def test_claimed_is_optional():
     assert model_from_obj(obj).claimed is None
 
 
-def test_rejects_unreadable_and_invalid_json(tmp_path):
+def test_rejects_unreadable_and_invalid_json(tmp_path, capsys):
     with pytest.raises(ModelFormatError, match="cannot read"):
         load_model(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model(bad)
+    for text in ("[]", "3", '"x"', "null"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="model must be a JSON object"):
+            load_model(bad)
+        assert main(["index", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: model must be a JSON object\n"
 
 
 def test_rejects_incompatible_action():
@@ -286,3 +295,63 @@ def test_rejects_non_list_graph_members(tmp_path, capsys, key, value):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["index", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the graph section
+
+def test_json_roundtrip():
+    graph, action = mobius_ladder(3)
+    assert graph_from_obj(model_to_obj(as_model(graph, action))["graph"]) == graph
+
+
+def test_json_rejects_bad_ends():
+    with pytest.raises(GraphError):
+        graph_from_obj({"vertices": [{"id": "a"}], "edges": [{"id": "e", "ends": ["a"]}]})
+
+
+ODD_VALUES = [None, True, 0, 1.5, "a", [], ["a"], ["a", "b", "c"], ["a", 1], {}, {"id": 1}, {"ends": ["a", "b"]}]
+
+
+def mutated_graph_objs(count, seed):
+    """Graph documents with one to three nodes replaced by an ill-typed value or dropped."""
+    rng = random.Random(seed)
+    bases = [model_to_obj(as_model(*mobius_ladder(g)))["graph"] for g in (2, 3, 5)]
+    for _ in range(count):
+        obj = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            parent = obj[rng.choice(["vertices", "edges"])]
+            if not isinstance(parent, list) or not parent:
+                continue
+            key = rng.randrange(len(parent))
+            while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.6:
+                parent = parent[key]
+                key = rng.choice(list(parent)) if isinstance(parent, dict) else rng.randrange(len(parent))
+            if rng.random() < 0.25:
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+        yield obj
+
+
+def test_json_type_checks_match_the_item_by_item_reference():
+    outcomes = set()
+    for obj in mutated_graph_objs(400, seed=10):
+        try:
+            want = naive_from_json_obj(obj)
+        except GraphError as err:
+            with pytest.raises(GraphError) as got:
+                graph_from_obj(obj)
+            assert str(got.value) == str(err)
+            outcomes.add(str(err).split("[")[0])
+        else:
+            assert graph_from_obj(obj) == want
+            outcomes.add("graph")
+    assert {"graph", "vertices", "edges"} <= outcomes  # lawful documents, and type errors in either list
+
+
+def test_edges_are_immutable_records():
+    edge = graph_from_obj({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"id": "e", "ends": ["a", "b"]}]}).edges[0]
+    assert edge == Edge("e", "a", "b") and (edge.id, edge.tail, edge.head) == ("e", "a", "b")
+    assert edge.ends == {"a", "b"} and edge.tail != edge.head
+    with pytest.raises(AttributeError):
+        edge.tail = "b"

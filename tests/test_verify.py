@@ -8,7 +8,7 @@ import pytest
 from conftest import corrupted_two_cycle_model, single_edge_swap_model
 from curveindex import action, invariants, multigraph, verify
 from curveindex.cli import main
-from curveindex.constructions import Component, CurveModel, as_model, construct
+from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import Case, splitting_report
 from curveindex.multigraph import MultiGraph
 from curveindex.serialize import model_to_obj, save_model
@@ -83,6 +83,40 @@ def test_check_model_flags_inadmissible_claim():
     assert not any(f.startswith("prediction mismatch") for f in cell.failures)
     assert "genus: computed 1, claimed 4" in cell.failures
     assert cell.oracle_ok and cell.index_ok
+
+
+def test_check_model_flags_an_action_below_its_declared_order():
+    # The identity declared at order 3: the index reads 1, and the exact order is 1.
+    graph, _ = cycle_model(3)
+    identity = action.CyclicAction(3, {v: v for v in graph.vertices}, {e.id: e.id for e in graph.edges})
+    cell = check_model(as_model(graph, identity, claimed=(1, 3)), e_max=3)
+    assert not cell.passed and cell.index_ok is False
+    assert "index: computed 1, claimed 3" in cell.failures
+    assert "action order: exact 1, declared 3" in cell.failures
+
+
+def test_check_model_flags_a_claim_off_the_acting_order():
+    m = construct(1, 6)
+    cell = check_model(CurveModel(m.graph, m.action, m.components, claimed=(1, 3)))
+    assert cell.failures == ("claimed index 3 differs from acting order 6", "index: computed 6, claimed 3")
+    assert cell.index_ok is False
+
+
+def test_check_model_flags_an_oracle_mismatch(tmp_path, monkeypatch):
+    real = verify.oracle_table
+
+    def flipped(m, e_max):  # the oracle now says the (I, 1) extension does not split
+        table = real(m, e_max)
+        return {**table, (m.action.order, 1): not table[(m.action.order, 1)]}
+
+    monkeypatch.setattr(verify, "oracle_table", flipped)
+    m = construct(4, 6)
+    cell = check_model(m, e_max=2)
+    assert cell.failures == ("oracle mismatch at (d=6, e=1): classifier=True, oracle=False",)
+    assert cell.oracle_ok is False and not cell.passed
+    path = tmp_path / "m.json"
+    save_model(m, path)
+    assert main(["verify", "--model", str(path), "--e-max", "2"]) == 1
 
 
 def test_index_law_fails_a_model_that_contradicts_itself(tmp_path, capsys):
