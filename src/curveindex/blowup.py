@@ -14,9 +14,12 @@ tuple) once per model, and no graph is built and nothing is named.  The
 model's own vertices map among themselves at every depth, so their cycles are
 walked once per call; each ``e`` lays out only its chains, which also map
 among themselves, walks their cycles once, and reads every ``d`` off the two
-sets of cycle lengths.  Beyond :func:`~curveindex.action.cycles`, which is
-tested on its own, the oracle shares no logic with the classifier in
-:mod:`curveindex.invariants`, so their agreement is evidence.
+sets of cycle lengths.  A ``d`` whose power already fixes a model vertex is
+settled at every depth, so the edges and their chains are laid out and
+walked only when some requested ``d`` is not (never for a trivial action).
+Beyond :func:`~curveindex.action.cycles`, which is tested on its own, the
+oracle shares no logic with the classifier in :mod:`curveindex.invariants`,
+so their agreement is evidence.
 """
 
 from __future__ import annotations
@@ -26,14 +29,20 @@ from .constructions import CurveModel
 from .invariants import ExtensionSpec, divisors
 
 
-def _positions(m: CurveModel) -> tuple[list[int], list[tuple[int, int]]]:
-    """Each vertex's image position; each edge's, with step ``-1`` if the image runs against its orientation."""
+def _vertex_positions(m: CurveModel) -> list[int]:
+    """Each vertex's image position."""
+    vertices, gen_v = m.graph.vertices, m.action.vertex_map
+    vertex_at = {v: i for i, v in enumerate(vertices)}
+    return [vertex_at[gen_v[v]] for v in vertices]
+
+
+def _edge_positions(m: CurveModel) -> list[tuple[int, int]]:
+    """Each edge's image position, with step ``-1`` if the image runs against its orientation."""
     g, gen_v = m.graph, m.action.vertex_map
-    vertex_at = {v: i for i, v in enumerate(g.vertices)}
     edge_at = {edge.id: k for k, edge in enumerate(g.edges)}
     images = [edge_at[m.action.edge_map[edge.id]] for edge in g.edges]
     steps = [1 if gen_v[edge.tail] == g.edges[j].tail else -1 for edge, j in zip(g.edges, images)]
-    return [vertex_at[gen_v[v]] for v in g.vertices], list(zip(images, steps))
+    return list(zip(images, steps))
 
 
 def _chains(edges: list[tuple[int, int]], width: int) -> list[int]:
@@ -54,21 +63,28 @@ def _lengths(perm: list[int]) -> set[int]:
     return {len(c) for c in cycles(perm)}
 
 
-def _depth_lengths(own: set[int], edges: list[tuple[int, int]], e: int) -> set[int]:
-    """Cycle lengths of the transported generator at depth ``e``, given those on the model's own vertices.
+def _fixes(lengths: set[int], d: int) -> bool:
+    """Whether the ``d``-th power fixes a position on a cycle of one of these lengths."""
+    return any(d % n == 0 for n in lengths)
 
-    The model's vertices map among themselves and the chains among
-    themselves, so only the chains, renumbered from 0, are walked.
+
+def _chain_lengths(edges: list[tuple[int, int]], e: int) -> set[int]:
+    """Cycle lengths of the transported generator on the chains at depth ``e`` (none at ``e = 1``).
+
+    The chains map among themselves, so they are walked renumbered from 0.
     """
-    return own | _lengths(_chains(edges, e - 1)) if e > 1 else own
+    return _lengths(_chains(edges, e - 1)) if e > 1 else set()
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
-    """True iff the ``x.d``-th power of the transported generator fixes a vertex."""
+    """True iff the ``x.d``-th power of the transported generator fixes a vertex.
+
+    The edges and their chains are laid out and walked only if that power
+    fixes no model vertex.
+    """
     if m.action.order % x.d != 0:
         raise ValueError(f"d = {x.d} does not divide the acting order {m.action.order}")
-    vertices, edges = _positions(m)
-    return any(x.d % n == 0 for n in _depth_lengths(_lengths(vertices), edges, x.e))
+    return _fixes(_lengths(_vertex_positions(m)), x.d) or _fixes(_chain_lengths(_edge_positions(m), x.e), x.d)
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
@@ -76,15 +92,16 @@ def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
 
     Keys are ``(d, e)`` in sorted order.  One pass over ``m`` serves every
     ``e``: the model's own vertices are walked once, and each ``e`` costs
-    only its chains and one cycle walk of them.
+    only its chains and one cycle walk of them.  A model vertex fixed by the
+    ``d``-th power is fixed at every depth, so when that settles every ``d``
+    no chain is laid out at all.
     """
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    depths, (vertices, edges) = range(1, e_max + 1), _positions(m)
-    own = _lengths(vertices)
-    lengths = [_depth_lengths(own, edges, e) for e in depths]
-    return {
-        (d, e): any(d % n == 0 for n in lengths[e - 1])
-        for d in divisors(m.action.order)
-        for e in depths
-    }
+    depths, own = range(1, e_max + 1), _lengths(_vertex_positions(m))
+    settled = {d: _fixes(own, d) for d in divisors(m.action.order)}
+    chains = []
+    if not all(settled.values()):
+        edges = _edge_positions(m)
+        chains = [_chain_lengths(edges, e) for e in depths]
+    return {(d, e): settled[d] or _fixes(chains[e - 1], d) for d in settled for e in depths}

@@ -13,7 +13,9 @@ have size ``I``:
   ``(2g - 2)/I``.
 
 ``construct`` dispatches among these and wraps the result as a
-:class:`CurveModel` carrying per-component arithmetic data.
+:class:`CurveModel` carrying per-component arithmetic data.  The ladder's
+models are made by :func:`ladder_model`, which a sweep over every ``I`` of
+one genus calls with a single ladder.
 """
 
 from __future__ import annotations
@@ -203,10 +205,21 @@ def construct(genus: int, index: int) -> CurveModel:
     elif genus == 1:
         graph, action = cycle_model(index)
     else:
-        graph, full = mobius_ladder(genus)
-        step = (2 * genus - 2) // index
-        action = CyclicAction(index, map_power(full.vertex_map, step), map_power(full.edge_map, step))
+        return ladder_model(mobius_ladder(genus), index)
     return as_model(graph, action, claimed=(genus, index))
+
+
+def ladder_model(ladder: tuple[MultiGraph, CyclicAction], index: int) -> CurveModel:
+    """``construct(g, index)`` for ``g >= 2`` and ``index > 1``, from ``ladder = mobius_ladder(g)``.
+
+    The ladder's rotation is raised to the power ``(2g - 2)/index``.  The
+    model holds the ladder's graph itself, so one ladder serves every index
+    of its genus and the graph's cached data is computed once for all of them.
+    """
+    graph, full = ladder
+    step = full.order // index
+    action = CyclicAction(index, map_power(full.vertex_map, step), map_power(full.edge_map, step))
+    return as_model(graph, action, claimed=(full.order // 2 + 1, index))
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,13 @@ def main_theorem_prediction(genus: int, order: int, x: ExtensionSpec, case: Case
 
     Case 1: exactly the extensions with ``d == I`` split.  Case 2 (only
     possible for even ``I``): additionally those with ``d == I/2`` and even
-    ramification.
+    ramification.  Raises ``ValueError`` for a negative genus or an order
+    below 1.
     """
+    if genus < 0:
+        raise ValueError(f"genus must be non-negative, got {genus}")
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     if (2 * genus - 2) % order != 0:
         raise ValueError(f"order {order} does not divide 2*genus - 2 = {2 * genus - 2}")
     if order % x.d != 0:

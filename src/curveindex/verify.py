@@ -16,9 +16,12 @@ checks, with zero tolerance:
   configured cardinality (the weak check when ``I = 1``, where the full
   one is knowingly too strong over the 2-element field).
 
-``check_model`` applies the same battery to a single, possibly handcrafted,
-model; claimed-metadata comparisons are skipped when the model claims
-nothing.
+The grid builds each genus's Moebius ladder once and makes every ``I >= 2``
+cell of that genus from it (:func:`constructions.ladder_model`, the path
+``construct`` takes too), so the graph's cached data is computed once per
+genus.  ``check_model`` applies the same battery to a single, possibly
+handcrafted, model; claimed-metadata comparisons are skipped when the model
+claims nothing.
 
 The ``--json`` report is ``json.dumps(report_to_obj(r), indent=2)`` plus a
 newline.  :func:`dumps_report` writes that layout straight from the cells,
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 from .blowup import oracle_table
-from .constructions import CurveModel, check_realizability, construct
+from .constructions import CurveModel, check_realizability, construct, ladder_model, mobius_ladder
 from .invariants import Case, ExtensionSpec, divisors, main_theorem_prediction, splitting_report
 from .multigraph import euler_characteristic, is_connected
 from .serialize import _container
@@ -193,8 +196,9 @@ def run_verification(
         raise ValueError(f"genus_one_cap must be non-negative, got {genus_one_cap}")
     cells = []
     for genus in range(genus_max + 1):
+        ladder = mobius_ladder(genus) if genus >= 2 else None  # one graph for every I >= 2 of the genus
         for order in admissible_orders(genus, genus_one_cap):
-            model = construct(genus, order)
+            model = ladder_model(ladder, order) if ladder and order > 1 else construct(genus, order)
             cells.append(check_model(model, e_max, residue_cardinalities))
     return VerificationReport(tuple(cells), e_max, tuple(residue_cardinalities))
 

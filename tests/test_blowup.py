@@ -6,7 +6,15 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import are_isomorphic, chain_name_clash_model, circulant_model, naive_power, single_edge_swap_model
+from conftest import (
+    are_isomorphic,
+    chain_name_clash_model,
+    circulant_model,
+    flipped_path_model,
+    loop_at_fixed_vertex_model,
+    naive_power,
+    single_edge_swap_model,
+)
 from curveindex import blowup, invariants, multigraph
 from curveindex.action import CyclicAction, cycles, validate
 from curveindex.blowup import oracle_splits, oracle_table
@@ -24,7 +32,7 @@ from curveindex.verify import check_model
 
 def oracle_vertex_map(m, e):
     """The oracle's transported generator at depth ``e``, named through ``subdivide(m.graph, e)``'s vertex tuple."""
-    vertices, edges = blowup._positions(m)
+    vertices, edges = blowup._vertex_positions(m), blowup._edge_positions(m)
     perm = vertices + [len(vertices) + i for i in blowup._chains(edges, e - 1)]
     names = subdivide(m.graph, e).vertices
     return {v: names[i] for v, i in zip(names, perm)}
@@ -247,7 +255,30 @@ def test_oracle_table_builds_no_graph(monkeypatch):
     assert names == ["subdivide", "chain_separator"] and len(builds) == 1
 
 
-def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch):
+def hub_swap_model():
+    """Four leaves in one 4-cycle, hanging alternately off two hubs that the generator swaps.
+
+    The hubs are fixed by the square, a proper subgroup, and the edge between them is flipped.
+    """
+    graph = MultiGraph.build(
+        ["h0", "h1", "l0", "l1", "l2", "l3"],
+        [("f", "h0", "h1")] + [(f"s{i}", f"l{i}", f"h{i % 2}") for i in range(4)],
+    )
+    vmap = {"h0": "h1", "h1": "h0", **{f"l{i}": f"l{(i + 1) % 4}" for i in range(4)}}
+    emap = {"f": "f", **{f"s{i}": f"s{(i + 1) % 4}" for i in range(4)}}
+    return as_model(graph, CyclicAction(4, vmap, emap))
+
+
+def named_oracle_table(m, e_max):
+    """Each cell read off the cycles of the whole named generator on ``subdivide(m.graph, e)``'s vertices."""
+    table = {}
+    for e in range(1, e_max + 1):
+        lengths = {len(c) for c in cycles(oracle_vertex_map(m, e))}
+        table.update({(d, e): any(d % n == 0 for n in lengths) for d in divisors(m.action.order)})
+    return table
+
+
+def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch, model_pool):
     walked = []
 
     def counting_cycles(perm):
@@ -255,12 +286,30 @@ def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch)
         return cycles(perm)
 
     monkeypatch.setattr(blowup, "cycles", counting_cycles)
-    for m, e_max in ((construct(4, 6), 6), (circulant_model(60, 2, random.Random(3)), 12)):
+    hubs = hub_swap_model()
+    assert validate(hubs.graph, hubs.action).ok and hubs.action.vertex_orbit["h0"] == 2
+    unsettled = [(construct(4, 6), 6), (circulant_model(60, 2, random.Random(3)), 12), (hubs, 6)]
+    for m, e_max in unsettled:
         walked.clear()
         oracle_table(m, e_max)
         n, k = len(m.graph.vertices), len(m.graph.edges)
         assert sum(walked) == n + sum(k * (e - 1) for e in range(1, e_max + 1))
         assert walked == [n] + [k * (e - 1) for e in range(2, e_max + 1)]
+    # a vertex fixed by the d-th power settles d at every depth: no chain is laid out for it
+    trivial = [construct(g, 1) for g in range(13)]
+    for m in trivial + [loop_at_fixed_vertex_model(), flipped_path_model()]:
+        walked.clear()
+        oracle_table(m, 6)
+        assert walked == [len(m.graph.vertices)]
+    for d, e, want in ((2, 3, [6]), (4, 5, [6]), (1, 3, [6, 10])):
+        walked.clear()
+        oracle_splits(hubs, ExtensionSpec(d, e))
+        assert walked == want, (d, e)
+    for m in trivial + [hubs] + list(model_pool):
+        assert oracle_table(m, 6) == named_oracle_table(m, 6)
+    for m in model_pool:
+        for (d, e), verdict in oracle_table(m, 6).items():
+            assert oracle_splits(m, ExtensionSpec(d, e)) is verdict, (d, e)
 
 
 def test_chain_names_avoid_vertex_ids():

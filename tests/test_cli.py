@@ -90,6 +90,23 @@ def test_mtheorem_command(capsys):
     assert json.loads(out) == {"splits": False, "case": "Case2"}
 
 
+@pytest.mark.parametrize(
+    "genus, index, message",
+    [
+        ("4", "0", "order must be positive, got 0"),
+        ("4", "-6", "order must be positive, got -6"),
+        ("-3", "2", "genus must be non-negative, got -3"),
+        ("-3", "-2", "genus must be non-negative, got -3"),
+    ],
+    ids=["index-zero", "index-negative", "genus-negative", "both-negative"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_mtheorem_rejects_a_bad_genus_or_index(capsys, genus, index, message, json_flag):
+    code, out, err = run(capsys, "mtheorem", "--genus", genus, "--index", index, "--d", "1", "--e", "1", *json_flag)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_oracle_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_model(construct(4, 6), path)

@@ -19,6 +19,7 @@ from curveindex.constructions import (
     coathanger_chain,
     construct,
     cycle_model,
+    ladder_model,
     mobius_ladder,
 )
 from curveindex.multigraph import (
@@ -27,6 +28,7 @@ from curveindex.multigraph import (
     euler_characteristic,
     is_connected,
 )
+from curveindex.verify import admissible_orders
 
 
 # generating sets
@@ -206,6 +208,15 @@ def test_construct_full_order_is_the_ladder_rotation():
         assert m.graph == graph and m.action == action
         assert list(m.action.vertex_map) == list(action.vertex_map)
         assert list(m.action.edge_map) == list(action.edge_map)
+
+
+def test_one_ladder_serves_every_index_of_its_genus():
+    for g in range(2, 13):
+        ladder = mobius_ladder(g)
+        for i in admissible_orders(g, 0)[1:]:
+            m = ladder_model(ladder, i)
+            assert m.graph is ladder[0]
+            assert m == construct(g, i) and m.claimed == (g, i)
 
 
 def test_construct_rejects_inadmissible_pair():

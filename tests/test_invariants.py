@@ -238,6 +238,12 @@ def test_prediction_rejects_inadmissible():
         main_theorem_prediction(2, 3, ExtensionSpec(1, 1), Case.CASE1)
     with pytest.raises(ValueError):
         main_theorem_prediction(3, 4, ExtensionSpec(3, 1), Case.CASE2)
+    with pytest.raises(ValueError, match="^order must be positive, got 0$"):
+        main_theorem_prediction(4, 0, ExtensionSpec(1, 1), Case.CASE2)
+    with pytest.raises(ValueError, match="^order must be positive, got -6$"):
+        main_theorem_prediction(4, -6, ExtensionSpec(1, 1), Case.CASE2)
+    with pytest.raises(ValueError, match="^genus must be non-negative, got -3$"):
+        main_theorem_prediction(-3, 2, ExtensionSpec(1, 1), Case.CASE2)
 
 
 # reports

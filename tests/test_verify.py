@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import corrupted_two_cycle_model, single_edge_swap_model
-from curveindex import action, invariants, multigraph, verify
+from conftest import admissible_cells, corrupted_two_cycle_model, single_edge_swap_model
+from curveindex import action, constructions, invariants, multigraph, verify
 from curveindex.cli import main
 from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import Case, splitting_report
@@ -168,6 +168,15 @@ def test_run_verification_rejects_negative_genus_one_cap():
         run_verification(genus_max=2, genus_one_cap=-3)
     report = run_verification(genus_max=2, e_max=2, genus_one_cap=0)
     assert report.passed and [c.genus for c in report.cells] == [0, 0, 2, 2]
+
+
+def test_the_sweep_builds_each_ladder_once_and_matches_the_direct_path(monkeypatch):
+    ladders = count_calls(monkeypatch, constructions, "mobius_ladder")
+    report = run_verification(12, 4, (2, math.inf))
+    assert ladders == [(g,) for g in range(2, 13)]  # one ladder per genus >= 2
+    direct = [check_model(construct(g, i), 4, (2, math.inf)) for g, i in admissible_cells(12)]
+    assert list(report.cells) == direct
+    assert dumps_report(report) == dumps_report(VerificationReport(tuple(direct), 4, (2, math.inf)))
 
 
 def stdlib_report(r):
