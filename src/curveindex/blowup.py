@@ -7,22 +7,24 @@ follows along: a chain maps onto the image edge's chain, position-preserving
 when the edge image keeps its stored orientation and position-reversing
 otherwise.  The curve then has a rational point over an extension of type
 ``(d, e)`` iff the ``d``-th power of the transported generator fixes a vertex
-of the subdivided graph, which is the whole oracle.  That power fixes a
-vertex iff the length of the generator's cycle through it divides ``d``, so
-the generator is carried onto positions (those of ``subdivide``'s vertex
-tuple) once per model, and no graph is built and nothing is named.  The
-model's own vertices map among themselves at every depth, so their cycles are
-walked once per call; each ``e`` lays out only its chains, which also map
-among themselves, walks their cycles once, and reads every ``d`` off the two
-sets of cycle lengths.  A ``d`` whose power already fixes a model vertex is
-settled at every depth, so the edges and their chains are laid out and
-walked only when some requested ``d`` is not (never for a trivial action).
-Beyond :func:`~curveindex.action.cycles`, which is tested on its own, the
-oracle shares no logic with the classifier in :mod:`curveindex.invariants`,
-so their agreement is evidence.
+of the subdivided graph, that is, iff the length of the generator's cycle
+through some vertex divides ``d``.
+
+One walk, :func:`_verdicts`, answers every cell.  The generator is carried
+onto positions (those of ``subdivide``'s vertex tuple), so no graph is built
+and nothing is named.  The model's own vertices map among themselves at
+every depth, so their cycles are walked once, and a ``d`` whose power fixes
+one of them is settled at every depth.  Only if some requested ``d`` is not
+are the edge positions laid out; each requested depth ``e > 1`` then lays out
+only its chains, which also map among themselves, and walks their cycles
+once.  Beyond :func:`~curveindex.action.cycles`, which is tested on its own,
+the oracle shares no logic with the classifier in
+:mod:`curveindex.invariants`, so their agreement is evidence.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .action import cycles
 from .constructions import CurveModel
@@ -63,45 +65,26 @@ def _lengths(perm: list[int]) -> set[int]:
     return {len(c) for c in cycles(perm)}
 
 
-def _fixes(lengths: set[int], d: int) -> bool:
-    """Whether the ``d``-th power fixes a position on a cycle of one of these lengths."""
-    return any(d % n == 0 for n in lengths)
-
-
-def _chain_lengths(edges: list[tuple[int, int]], e: int) -> set[int]:
-    """Cycle lengths of the transported generator on the chains at depth ``e`` (none at ``e = 1``).
-
-    The chains map among themselves, so they are walked renumbered from 0.
-    """
-    return _lengths(_chains(edges, e - 1)) if e > 1 else set()
+def _verdicts(m: CurveModel, ds: Sequence[int], depths: Sequence[int]) -> dict[tuple[int, int], bool]:
+    """Whether the ``d``-th power fixes a position at depth ``e``, for ``d`` in ``ds`` and ``e`` in ``depths``."""
+    own = _lengths(_vertex_positions(m))
+    settled = {d: any(d % n == 0 for n in own) for d in ds}
+    chains = {}
+    if not all(settled.values()):
+        edges = _edge_positions(m)
+        chains = {e: _lengths(_chains(edges, e - 1)) for e in depths if e > 1}
+    return {(d, e): settled[d] or any(d % n == 0 for n in chains.get(e, ())) for d in ds for e in depths}
 
 
 def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
-    """True iff the ``x.d``-th power of the transported generator fixes a vertex.
-
-    The edges and their chains are laid out and walked only if that power
-    fixes no model vertex.
-    """
+    """True iff the ``x.d``-th power of the transported generator fixes a vertex at depth ``x.e``."""
     if m.action.order % x.d != 0:
         raise ValueError(f"d = {x.d} does not divide the acting order {m.action.order}")
-    return _fixes(_lengths(_vertex_positions(m)), x.d) or _fixes(_chain_lengths(_edge_positions(m), x.e), x.d)
+    return _verdicts(m, (x.d,), (x.e,))[x.d, x.e]
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:
-    """:func:`oracle_splits` for every ``d | I`` and ``1 <= e <= e_max``.
-
-    Keys are ``(d, e)`` in sorted order.  One pass over ``m`` serves every
-    ``e``: the model's own vertices are walked once, and each ``e`` costs
-    only its chains and one cycle walk of them.  A model vertex fixed by the
-    ``d``-th power is fixed at every depth, so when that settles every ``d``
-    no chain is laid out at all.
-    """
+    """:func:`oracle_splits` for every ``d | I`` and ``1 <= e <= e_max``, keyed ``(d, e)`` in sorted order."""
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    depths, own = range(1, e_max + 1), _lengths(_vertex_positions(m))
-    settled = {d: _fixes(own, d) for d in divisors(m.action.order)}
-    chains = []
-    if not all(settled.values()):
-        edges = _edge_positions(m)
-        chains = [_chain_lengths(edges, e) for e in depths]
-    return {(d, e): settled[d] or _fixes(chains[e - 1], d) for d in settled for e in depths}
+    return _verdicts(m, divisors(m.action.order), range(1, e_max + 1))

@@ -82,7 +82,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    qs = tuple(args.residue_q) if args.residue_q else (math.inf,)
+    qs = tuple(dict.fromkeys(args.residue_q)) if args.residue_q else (math.inf,)
     if args.model:
         cell = check_model(load_model(args.model), e_max=args.e_max, residue_cardinalities=qs)
         report = VerificationReport((cell,), args.e_max, qs)

@@ -13,6 +13,7 @@ from conftest import (
     flipped_path_model,
     loop_at_fixed_vertex_model,
     naive_power,
+    orbit_sizes,
     single_edge_swap_model,
 )
 from curveindex import blowup, invariants, multigraph
@@ -305,6 +306,16 @@ def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch,
         walked.clear()
         oracle_splits(hubs, ExtensionSpec(d, e))
         assert walked == want, (d, e)
+    # one cell walks the model's vertices, then only its own depth's chains, and those only if d is unsettled
+    for m in model_pool:
+        n, k = len(m.graph.vertices), len(m.graph.edges)
+        own = set(orbit_sizes(m.action).values())
+        for d in divisors(m.action.order):
+            for e in range(1, 5):
+                walked.clear()
+                oracle_splits(m, ExtensionSpec(d, e))
+                settled = e == 1 or any(d % size == 0 for size in own)
+                assert walked == ([n] if settled else [n, k * (e - 1)]), (d, e)
     for m in trivial + [hubs] + list(model_pool):
         assert oracle_table(m, 6) == named_oracle_table(m, 6)
     for m in model_pool:

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from conftest import chain_name_clash_model, circulant_model, corrupted_two_cycle_model
+from curveindex.action import CyclicAction
 from curveindex.blowup import oracle_table
 from curveindex.cli import COMMANDS, main
-from curveindex.constructions import CurveModel, construct
+from curveindex.constructions import CurveModel, as_model, construct
 from curveindex.invariants import divisors
-from curveindex.multigraph import euler_characteristic
+from curveindex.multigraph import MultiGraph, euler_characteristic
 from curveindex.serialize import load_model, save_model
 
 
@@ -152,6 +153,22 @@ def test_check_infinite_residue(tmp_path, capsys):
     save_model(construct(5, 8), path)
     code, out, _ = run(capsys, "check", str(path), "--residue-q", "inf", "--json")
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_repeated_residue_cardinality_is_checked_once(tmp_path, capsys):
+    # the theta graph under the trivial action: no fixed vertex of degree <= 2, so q = 2 fails
+    theta = MultiGraph.build(["a", "b"], [(x, "a", "b") for x in "xyz"])
+    path = tmp_path / "theta.json"
+    save_model(as_model(theta, CyclicAction(1, {"a": "a", "b": "b"}, {x: x for x in "xyz"})), path)
+    argv = ["verify", "--model", str(path), "--residue-q", "2", "--residue-q", "2", "--residue-q", "inf"]
+    code, out, _ = run(capsys, *argv, "--residue-q", "infinity", "--json")
+    report = json.loads(out)
+    assert code == 1 and report["residue_cardinalities"] == [2, "inf"]
+    assert report["cells"][0]["realizability"] == {"2": False, "inf": True}
+    failure = "realizability(q=2, weak) failed: point-supply: no fixed vertex of degree <= 2"
+    assert report["cells"][0]["failures"] == [failure]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.count(failure) == 1
 
 
 def test_verify_small_grid(capsys):

@@ -6,7 +6,9 @@ the commands that read a model.  Each call must return 0, 1 or 2 without
 raising and within ``MAX_CALL_S`` seconds, and exit 2 must come with an
 ``error:`` message.  Unclaimed models with mutated ``components`` entries
 go through ``verify --model``, which must fail exactly the cells where the
-oracle splits but the index does not divide ``d * e``.
+oracle splits but the index does not divide ``d * e``.  Mutated documents
+that still load with unit components must have the index and m-invariant
+that the oracle's table gives.
 """
 
 import contextlib
@@ -18,12 +20,14 @@ import random
 from functools import reduce
 from time import perf_counter
 
+import pytest
+
 from conftest import orbit_sizes
 from curveindex.blowup import oracle_table
-
 from curveindex.cli import main
-from curveindex.constructions import construct
-from curveindex.serialize import load_model, model_to_obj
+from curveindex.constructions import UNIT, construct
+from curveindex.invariants import index, splitting_report
+from curveindex.serialize import ModelFormatError, load_model, model_from_obj, model_to_obj
 
 SEED = 4
 MUTATIONS = 200
@@ -31,6 +35,7 @@ MAX_CALL_S = 1.0  # the slowest call takes about 0.013 s
 BASES = [(0, 2), (1, 3), (3, 4), (4, 6)]
 LAW_BASES = [(0, 1), (0, 2), (1, 3), (4, 6)]
 LAW_MUTATIONS = 60
+UNIT_MODELS_LOADED = 6  # of the MUTATIONS documents, those that load with unit components
 VALUES = [None, True, 0, -1, 10**30, 1.5, 'a"b\\', "é", [], {}]
 COMMANDS = [
     ["index", "{m}"],
@@ -68,13 +73,17 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_mutated_models_exit_cleanly(tmp_path):
+@pytest.fixture(scope="module")
+def mutated_docs():
     rng = random.Random(SEED)
     bases = [model_to_obj(construct(g, i)) for g, i in BASES]
+    return [mutate(rng.choice(bases), rng) for _ in range(MUTATIONS)]
+
+
+def test_mutated_models_exit_cleanly(tmp_path, mutated_docs):
     path = tmp_path / "m.json"
     bad = []
-    for k in range(MUTATIONS):
-        doc = mutate(rng.choice(bases), rng)
+    for k, doc in enumerate(mutated_docs):
         path.write_text(json.dumps(doc), encoding="utf-8")
         for argv in COMMANDS:
             argv = [a.format(m=path) for a in argv]
@@ -117,3 +126,18 @@ def test_mutated_components_meet_the_index_law(tmp_path):
         assert code == (1 if failures else 0)
         outcomes.add(bool(want))
     assert outcomes == {True, False}  # the law both holds and fails among the mutations
+
+
+def test_mutated_models_meet_the_oracle_laws(mutated_docs):
+    checked = 0
+    for doc in mutated_docs:
+        try:
+            m = model_from_obj(doc)
+        except ModelFormatError:
+            continue
+        if any(c != UNIT for c in m.components.values()):
+            continue
+        assert index(m) == math.gcd(*(d * e for (d, e), v in oracle_table(m, 2).items() if v)), doc
+        assert splitting_report(m).m_invariant == min(d * e for (d, e), v in oracle_table(m, 6).items() if v), doc
+        checked += 1
+    assert checked >= UNIT_MODELS_LOADED
