@@ -5,10 +5,9 @@ that a chosen generator induces on vertex and edge identifiers.  The group
 has one subgroup per divisor ``d`` of ``I``, generated by the ``d``-th power
 of the generator, so subgroups are addressed by that co-degree ``d`` alone.
 That power fixes ``x`` iff the length of the generator's cycle through ``x``
-divides ``d``: :func:`cycles` is the one walk over a permutation (of names,
-or of positions, which the blowup oracle walks in bulk), and each action
-caches its cycle lengths, from which every subgroup's fixed vertices and
-stabilized edges are read.  The module also validates actions.
+divides ``d``: :func:`cycles` is the one walk over a permutation of names,
+and each action caches its cycle lengths, from which every subgroup's fixed
+vertices and stabilized edges are read.  The module also validates actions.
 """
 
 from __future__ import annotations
@@ -27,43 +26,25 @@ class ActionError(ValueError):
     """Invalid action parameters (bad order, bad subgroup degree, ...)."""
 
 
-def cycles(mapping: Mapping[str, str] | list[int]) -> list[list[str]] | list[list[int]]:
-    """The cycles of a dict, or of a list permuting ``range(len(list))``, each from its first key in order.
+def cycles(mapping: Mapping[str, str]) -> list[list[str]]:
+    """The cycles of a permutation given as a dict, each from its first key in order.
 
-    A list is tested whole (distinct entries, all in range) and then walked
-    with one seen mark per position and no test per step (a list of marks:
-    storing into it is cheaper than into a ``bytearray``).  A dict, or a list
-    failing that test, is walked with a test per step, which names the walk
-    that breaks: for string keys, building the set of values costs more
-    than the steps' tests save.
+    One walk with a test per step: a step onto a seen key, or off the keys,
+    names the walk that breaks.  (For string keys, building the set of
+    values to test the map whole costs more than the steps' tests save.)
+    The blowup oracle counts its own cycle lengths and calls this only to
+    name the walk that breaks in a list of positions.
     """
-    n = len(mapping)
-    if isinstance(mapping, list) and (not n or len(set(mapping)) == n and min(mapping) >= 0 and max(mapping) < n):
-        seen = [False] * n
-        out = []
-        for x in range(n):
-            if seen[x]:
-                continue
-            cycle = [x]
-            seen[x] = True
-            y = mapping[x]
-            while y != x:
-                cycle.append(y)
-                seen[y] = True
-                y = mapping[y]
-            out.append(cycle)
-        return out
-    domain = range(n) if isinstance(mapping, list) else mapping
     seen: set = set()
     out = []
-    for x in domain:
+    for x in mapping:
         if x in seen:
             continue
         cycle = [x]
         seen.add(x)
         y = mapping[x]
         while y != x:
-            if y in seen or y not in domain:
+            if y in seen or y not in mapping:
                 raise ActionError(f"not a permutation: the walk from {x!r} never returns")
             cycle.append(y)
             seen.add(y)

@@ -16,15 +16,18 @@ and nothing is named.  The model's own vertices map among themselves at
 every depth, so their cycles are walked once, and a ``d`` whose power fixes
 one of them is settled at every depth.  Only if some requested ``d`` is not
 are the edge positions laid out; each requested depth ``e > 1`` then lays out
-only its chains, which also map among themselves, and walks their cycles
-once.  Beyond :func:`~curveindex.action.cycles`, which is tested on its own,
-the oracle shares no logic with the classifier in
-:mod:`curveindex.invariants`, so their agreement is evidence.
+only its chains, column by column, which also map among themselves, and
+walks their cycles once.  Each walk, :func:`_lengths`, keeps only the
+distinct cycle lengths and builds no cycle; a list that is no permutation is
+handed to :func:`~curveindex.action.cycles` only to name the walk that
+breaks.  So the oracle shares no logic with the classifier in
+:mod:`curveindex.invariants`, and their agreement is evidence.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import add
 
 from .action import cycles
 from .constructions import CurveModel
@@ -53,16 +56,43 @@ def _chains(edges: list[tuple[int, int]], width: int) -> list[int]:
     With ``width = e - 1``, and offset by ``|V|`` after the model's vertex
     images, this is the transported generator on the vertex tuple of
     ``subdivide(m.graph, e)``, which puts edge ``k``'s chain at positions
-    ``|V| + k(e-1) ...`` from its tail.
+    ``|V| + k(e-1) ...`` from its tail.  It is laid out a column at a time:
+    column ``i`` holds the image of every edge's ``i``-th position, the image
+    edge's ``i``-th position from its tail, or from its head for step ``-1``.
     """
-    perm = []
-    for j, step in edges:
-        perm += range(j * width, (j + 1) * width)[::step]
+    steps = [step for _, step in edges]
+    column = [j * width if step == 1 else (j + 1) * width - 1 for j, step in edges]
+    perm = [0] * (len(edges) * width)
+    for i in range(width):
+        if i:
+            column = list(map(add, column, steps))
+        perm[i::width] = column
     return perm
 
 
 def _lengths(perm: list[int]) -> set[int]:
-    return {len(c) for c in cycles(perm)}
+    """The distinct cycle lengths of ``perm``, whose entries must all lie in ``range(len(perm))``.
+
+    The oracle's lists meet that by construction (their entries are
+    positions), so the one way such a list can fail to be a permutation is a
+    repeated entry.  Each walk runs to a seen mark, which in a permutation is
+    its own start; a walk that closes anywhere else hands the list to
+    :func:`~curveindex.action.cycles`, which names the walk that never returns.
+    """
+    seen = [False] * len(perm)
+    lengths = set()
+    for x in range(len(perm)):
+        if seen[x]:
+            continue
+        n, y = 0, x
+        while not seen[y]:
+            seen[y] = True
+            y = perm[y]
+            n += 1
+        if y != x:
+            cycles(dict(enumerate(perm)))  # raises: a list with a repeated entry is no permutation
+        lengths.add(n)
+    return lengths
 
 
 def _verdicts(m: CurveModel, ds: Sequence[int], depths: Sequence[int]) -> dict[tuple[int, int], bool]:

@@ -267,6 +267,14 @@ def naive_power(mapping, k):
     return out
 
 
+def naive_chains(edges, width):
+    """``blowup._chains`` laid out edge by edge: each edge's image chain, reversed for step ``-1``."""
+    perm = []
+    for j, step in edges:
+        perm += range(j * width, (j + 1) * width)[::step]
+    return perm
+
+
 def _naive_bijection_violations(mapping, domain, law):
     out = []
     missing = domain - mapping.keys()

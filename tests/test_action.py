@@ -15,6 +15,7 @@ from conftest import (
     single_edge_swap_model,
 )
 from curveindex.action import ActionError, CyclicAction, cycles, map_power, validate
+from curveindex.blowup import _lengths
 from curveindex.constructions import as_model, coathanger_chain, construct, cycle_model, mobius_ladder
 from curveindex.invariants import ExtensionSpec, divisors, splits, splitting_report
 from curveindex.multigraph import Edge, MultiGraph, is_connected
@@ -137,24 +138,29 @@ def test_cycles_reject_non_permutations():
 
 
 def test_cycles_of_a_list_walk_its_positions():
+    """The oracle's walk of a list of positions finds the cycle lengths of the same map as a dict."""
     rng = random.Random(8)
     for n in (0, 1, 2, 5, 40):
         for _ in range(5):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert cycles(perm) == cycles(dict(enumerate(perm)))
-    for bad in ([1, 1], [1], [-1, 0], [2, 0]):
-        with pytest.raises(ActionError):
-            cycles(bad)
+            assert _lengths(perm) == {len(c) for c in cycles(dict(enumerate(perm)))}
+    with pytest.raises(ActionError, match="^not a permutation: the walk from 0 never returns$"):
+        _lengths([1, 1])
+    for bad in ([1], [-1, 0], [2, 0]):  # entries off the positions, which the oracle never makes
+        with pytest.raises(ActionError, match="^not a permutation: the walk from 0 never returns$"):
+            cycles(dict(enumerate(bad)))
 
 
 def test_cycles_reject_what_a_whole_law_test_must_catch():
     """Each map passes the checks a partial law test would make, and an unchecked walk would not raise on it."""
     with pytest.raises(ActionError, match="the walk from 'c' never returns"):
         cycles({"a": "b", "b": "a", "c": "a"})  # keys and values have the same length; "c" is never hit
-    for bad, start in (([2, 0, 0], 1), ([1, -1, 0], 0), ([1, 3, 0], 0)):  # a duplicate, a negative, out of range
+    with pytest.raises(ActionError, match="the walk from 1 never returns"):
+        _lengths([2, 0, 0])  # a duplicate
+    for bad, start in (([1, -1, 0], 0), ([1, 3, 0], 0)):  # a negative, out of range
         with pytest.raises(ActionError, match=f"the walk from {start} never returns"):
-            cycles(bad)
+            cycles(dict(enumerate(bad)))
 
 
 def test_cached_orbits_and_exact_order(model_pool):

@@ -12,14 +12,15 @@ from conftest import (
     circulant_model,
     flipped_path_model,
     loop_at_fixed_vertex_model,
+    naive_chains,
     naive_power,
     orbit_sizes,
     single_edge_swap_model,
 )
 from curveindex import blowup, invariants, multigraph
-from curveindex.action import CyclicAction, cycles, validate
+from curveindex.action import ActionError, CyclicAction, cycles, validate
 from curveindex.blowup import oracle_splits, oracle_table
-from curveindex.constructions import as_model, construct, cycle_model
+from curveindex.constructions import CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import ExtensionSpec, divisors, splits
 from curveindex.multigraph import (
     GraphError,
@@ -213,6 +214,54 @@ def test_oracle_positions_are_the_named_base_change_action(model_pool):
             assert sorted(vmap.values()) == sorted(vmap)
 
 
+def test_chains_are_laid_out_as_edge_by_edge(model_pool):
+    """The column layout is the per-edge layout, and every list the oracle walks holds only its own positions."""
+    for m in model_pool:
+        vertices, edges = blowup._vertex_positions(m), blowup._edge_positions(m)
+        assert all(i in range(len(vertices)) for i in vertices)
+        for width in range(1, 13):
+            chains = blowup._chains(edges, width)
+            assert chains == naive_chains(edges, width)
+            assert all(i in range(len(chains)) for i in chains)
+    rng = random.Random(22)
+    for _ in range(200):
+        k, width = rng.randint(0, 9), rng.randint(1, 12)
+        edges = [(rng.randrange(k), rng.choice((1, -1))) for _ in range(k)]
+        chains = blowup._chains(edges, width)
+        assert chains == naive_chains(edges, width)
+        assert all(i in range(len(chains)) for i in chains)
+
+
+def test_a_broken_map_through_the_oracle_names_the_walk_that_breaks():
+    """Unvalidated models: the oracle raises where a walk breaks, and answers where it walks no chain."""
+    m = construct(4, 6)
+    vmap, emap = m.action.vertex_map, m.action.edge_map
+    two_onto_one = CurveModel(m.graph, CyclicAction(6, vmap, {**emap, "c0": emap["c1"]}), m.components)
+    not_onto = CurveModel(m.graph, CyclicAction(6, {**vmap, "0": vmap["1"]}, emap), m.components)
+    for broken in (two_onto_one, not_onto):
+        assert not validate(broken.graph, broken.action).ok
+
+    def outcome(oracle, *args):
+        try:
+            return oracle(*args)
+        except ActionError as err:
+            return str(err)
+
+    def walk(start):
+        return f"not a permutation: the walk from {start} never returns"
+
+    # Nothing maps onto vertex 1, nor onto edge c1's chain, which starts at position e - 1. No chain is
+    # walked at depth 1 or for d = 6, which fixes every vertex; a table walks depth 2 first.
+    for e in range(1, 7):
+        want = {(d, 1): d == 6 for d in (1, 2, 3, 6)} if e == 1 else walk(1)
+        assert outcome(oracle_table, two_onto_one, e) == want, e
+        assert outcome(oracle_table, not_onto, e) == walk(1), e
+        for d in (1, 2, 3, 6):
+            want = True if d == 6 else False if e == 1 else walk(e - 1)
+            assert outcome(oracle_splits, two_onto_one, ExtensionSpec(d, e)) == want, (d, e)
+            assert outcome(oracle_splits, not_onto, ExtensionSpec(d, e)) == walk(1), (d, e)
+
+
 def test_chain_name_collisions_are_refused_where_names_are_made(monkeypatch):
     monkeypatch.setattr(multigraph, "chain_separator", lambda g, e: ":")
     m = chain_name_clash_model()
@@ -281,12 +330,13 @@ def named_oracle_table(m, e_max):
 
 def test_oracle_walks_the_model_once_and_each_depth_only_its_chains(monkeypatch, model_pool):
     walked = []
+    lengths = blowup._lengths
 
-    def counting_cycles(perm):
+    def counting_lengths(perm):
         walked.append(len(perm))
-        return cycles(perm)
+        return lengths(perm)
 
-    monkeypatch.setattr(blowup, "cycles", counting_cycles)
+    monkeypatch.setattr(blowup, "_lengths", counting_lengths)
     hubs = hub_swap_model()
     assert validate(hubs.graph, hubs.action).ok and hubs.action.vertex_orbit["h0"] == 2
     unsettled = [(construct(4, 6), 6), (circulant_model(60, 2, random.Random(3)), 12), (hubs, 6)]

@@ -16,7 +16,7 @@ from conftest import (
     prism_model,
     single_edge_swap_model,
 )
-from curveindex.action import CyclicAction
+from curveindex.action import CyclicAction, validate
 from curveindex.blowup import oracle_table
 from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import (
@@ -326,6 +326,53 @@ def test_case_law_on_free_actions(model_pool):
         assert oracle_table(m, 8) == {(d, e): report.table[(d, 2 - e % 2)] for d in divisors(order) for e in range(1, 9)}
         cases.add(report.case)
     assert cases == {Case.CASE1, Case.CASE2} and len(free) >= 100
+
+
+def cycle_symmetries(n):
+    """Every rotation and reflection of the ``n``-cycle, keyed ``(kind, shift)``, each at its exact order."""
+    graph = MultiGraph.build(map(str, range(n)), [(f"c{i}", str(i), str((i + 1) % n)) for i in range(n)])
+    maps = {}
+    for s in range(n):
+        maps["rotation", s] = ({str(i): str((i + s) % n) for i in range(n)},
+                               {f"c{i}": f"c{(i + s) % n}" for i in range(n)})
+        maps["reflection", s] = ({str(i): str((s - i) % n) for i in range(n)},
+                                 {f"c{i}": f"c{(s - i - 1) % n}" for i in range(n)})
+    return {key: as_model(graph, CyclicAction(CyclicAction(1, *pair).exact_order, *pair)) for key, pair in maps.items()}
+
+
+def pendant_swap_model():
+    """The 2-cycle with both edges flipped, and three leaves on each vertex turned in one 6-cycle."""
+    leaves = [f"{side}{k}" for k in range(3) for side in "ab"]
+    hub = {leaf: "0" if leaf[0] == "a" else "1" for leaf in leaves}
+    turn = dict(zip(leaves, leaves[1:] + leaves[:1]))
+    edges = [("c0", "0", "1"), ("c1", "1", "0")] + [(f"p{x}", hub[x], x) for x in leaves]
+    graph = MultiGraph.build(["0", "1", *leaves], edges)
+    emap = {"c0": "c0", "c1": "c1", **{f"p{x}": f"p{turn[x]}" for x in leaves}}
+    return as_model(graph, CyclicAction(6, {"0": "1", "1": "0", **turn}, emap))
+
+
+def test_case_two_at_genus_one_needs_order_two(model_pool):
+    # On a cycle the generator is a rotation or a reflection; a power that stabilizes an edge and fixes no
+    # vertex flips it, so it is a reflection through no vertex, and the generator is that reflection.
+    models = {(n, *key): m for n in range(1, 13) for key, m in cycle_symmetries(n).items()}
+    models.update({("pool", k): m for k, m in enumerate(model_pool) if arithmetic_genus(m.graph) == 1})
+    case_two = set()
+    for key, m in models.items():
+        assert validate(m.graph, m.action).ok and arithmetic_genus(m.graph) == 1, key
+        if splitting_report(m).case is Case.CASE2:
+            assert m.action.order == 2, key
+            case_two.add(key)
+        classifier = {(d, e): splits(m, ExtensionSpec(d, e)) for d in divisors(m.action.order) for e in range(1, 7)}
+        assert oracle_table(m, 6) == classifier, key
+    # exactly the reflections of an even cycle through no vertex, which flip two edges
+    assert case_two == {(n, "reflection", s) for n in range(2, 13, 2) for s in range(1, n, 2)}
+    assert sum(key[0] == "pool" for key in models) >= 20
+    # Trees hung on the cycle may turn with a longer period than the reflection's: here the order is 6 and
+    # the square fixes both cycle vertices, so the claim needs a free vertex action.
+    m = pendant_swap_model()
+    assert validate(m.graph, m.action).ok and arithmetic_genus(m.graph) == 1 and m.action.exact_order == 6
+    assert splitting_report(m).case is Case.CASE2 and m.action.vertex_orbit["0"] == 2
+    assert oracle_table(m, 6) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2, 3, 6) for e in range(1, 7)}
 
 
 def test_report_invariants(model_pool):
