@@ -11,23 +11,25 @@ of the subdivided graph, that is, iff the length of the generator's cycle
 through some vertex divides ``d``.
 
 One walk, :func:`_verdicts`, answers every cell.  The generator is carried
-onto positions (those of ``subdivide``'s vertex tuple), so no graph is built
-and nothing is named.  The model's own vertices map among themselves at
-every depth, so their cycles are walked once, and a ``d`` whose power fixes
-one of them is settled at every depth.  Only if some requested ``d`` is not
-are the edge positions laid out; each requested depth ``e > 1`` then lays out
-only its chains, column by column, which also map among themselves, and
-walks their cycles once.  Each walk, :func:`_lengths`, keeps only the
-distinct cycle lengths and builds no cycle; a list that is no permutation is
-handed to :func:`~curveindex.action.cycles` only to name the walk that
-breaks.  So the oracle shares no logic with the classifier in
+onto positions: the model's vertices in ``subdivide``'s order, then the chain
+positions numbered column-major (:func:`_blocks`), a relabelling of the rest
+of ``subdivide``'s vertex tuple.  So no graph is built and nothing is named.
+The model's own vertices map among themselves at every depth, so their
+cycles are walked once, and a ``d`` whose power fixes one of them is settled
+at every depth.  Only if some requested ``d`` is not are the edge positions
+laid out, once per call, as blocks that do not depend on the depth; each
+requested depth ``e > 1`` then concatenates its chains from those blocks
+(:func:`_chains`), which also map among themselves, and walks their cycles
+once.  Each walk, :func:`_lengths`, keeps only the distinct cycle lengths and
+builds no cycle; a list that is no permutation is handed to
+:func:`~curveindex.action.cycles` only to name the walk that breaks.  So the
+oracle shares no logic with the classifier in
 :mod:`curveindex.invariants`, and their agreement is evidence.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import add
 
 from .action import cycles
 from .constructions import CurveModel
@@ -50,23 +52,40 @@ def _edge_positions(m: CurveModel) -> list[tuple[int, int]]:
     return list(zip(images, steps))
 
 
-def _chains(edges: list[tuple[int, int]], width: int) -> list[int]:
-    """Each edge's chain of ``width`` positions, numbered from 0.
+def _blocks(edges: list[tuple[int, int]], top: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The blocks of every chain permutation of width at most ``top``, built once per call.
 
-    With ``width = e - 1``, and offset by ``|V|`` after the model's vertex
-    images, this is the transported generator on the vertex tuple of
-    ``subdivide(m.graph, e)``, which puts edge ``k``'s chain at positions
-    ``|V| + k(e-1) ...`` from its tail.  It is laid out a column at a time:
-    column ``i`` holds the image of every edge's ``i``-th position, the image
-    edge's ``i``-th position from its tail, or from its head for step ``-1``.
+    Chain positions are numbered column-major: rank the edges with step
+    ``+1`` first and then those with step ``-1``, each group in edge order;
+    position ``i * |E| + rank(k)`` is edge ``k``'s ``i``-th position from its
+    tail.  This only relabels the chain positions of ``subdivide``'s vertex
+    tuple, where that position sits at ``|V| + k(e-1) + i``.  ``fwd[t]``
+    holds the ranked images of the forward edges plus ``t * |E|``, and
+    ``back[t]`` the same for the backward edges; neither depends on the width.
     """
-    steps = [step for _, step in edges]
-    column = [j * width if step == 1 else (j + 1) * width - 1 for j, step in edges]
-    perm = [0] * (len(edges) * width)
+    k = len(edges)
+    ranked = [j for j, (_, step) in enumerate(edges) if step == 1]
+    f = len(ranked)
+    ranked += [j for j, (_, step) in enumerate(edges) if step == -1]
+    rank = sorted(range(k), key=ranked.__getitem__)  # the inverse of ranked
+    images = [rank[edges[j][0]] for j in ranked]
+    fwd0, back0, offsets = images[:f], images[f:], [t * k for t in range(top)]
+    return [[x + t for x in fwd0] for t in offsets], [[x + t for x in back0] for t in offsets]
+
+
+def _chains(blocks: tuple[list[list[int]], list[list[int]]], width: int) -> list[int]:
+    """Every edge's chain of ``width`` positions, numbered from 0 as in :func:`_blocks`.
+
+    Column ``i`` holds the image of every edge's ``i``-th position: the image
+    edge's ``i``-th position from its tail, or from its head for step ``-1``.
+    Forward edges find theirs in ``fwd[i]`` and backward ones in
+    ``back[width - 1 - i]``, so the permutation is a concatenation of blocks.
+    """
+    fwd, back = blocks
+    perm = []
     for i in range(width):
-        if i:
-            column = list(map(add, column, steps))
-        perm[i::width] = column
+        perm += fwd[i]
+        perm += back[width - 1 - i]
     return perm
 
 
@@ -101,8 +120,8 @@ def _verdicts(m: CurveModel, ds: Sequence[int], depths: Sequence[int]) -> dict[t
     settled = {d: any(d % n == 0 for n in own) for d in ds}
     chains = {}
     if not all(settled.values()):
-        edges = _edge_positions(m)
-        chains = {e: _lengths(_chains(edges, e - 1)) for e in depths if e > 1}
+        blocks = _blocks(_edge_positions(m), max(depths) - 1)
+        chains = {e: _lengths(_chains(blocks, e - 1)) for e in depths if e > 1}
     return {(d, e): settled[d] or any(d % n == 0 for n in chains.get(e, ())) for d in ds for e in depths}
 
 

@@ -268,11 +268,23 @@ def naive_power(mapping, k):
 
 
 def naive_chains(edges, width):
-    """``blowup._chains`` laid out edge by edge: each edge's image chain, reversed for step ``-1``."""
+    """The chain permutation laid out edge by edge, as ``subdivide`` numbers chains: position ``k * width + i``
+    is edge ``k``'s ``i``-th position from its tail, and each edge maps onto its image chain, reversed for
+    step ``-1``."""
     perm = []
     for j, step in edges:
         perm += range(j * width, (j + 1) * width)[::step]
     return perm
+
+
+def column_major(edges, width):
+    """``naive_chains``' position ``k * width + i`` as ``blowup._chains`` numbers it, ``i * len(edges) + rank(k)``,
+    where the edges with step ``+1`` rank first and those with step ``-1`` after them, each group in edge order."""
+    ranked = [k for k, (_, step) in enumerate(edges) if step == 1] + [
+        k for k, (_, step) in enumerate(edges) if step == -1
+    ]
+    rank = {k: r for r, k in enumerate(ranked)}
+    return [i * len(edges) + rank[k] for k in range(len(edges)) for i in range(width)]
 
 
 def _naive_bijection_violations(mapping, domain, law):

@@ -10,6 +10,7 @@ from conftest import (
     are_isomorphic,
     chain_name_clash_model,
     circulant_model,
+    column_major,
     flipped_path_model,
     loop_at_fixed_vertex_model,
     naive_chains,
@@ -33,11 +34,18 @@ from curveindex.verify import check_model
 
 
 def oracle_vertex_map(m, e):
-    """The oracle's transported generator at depth ``e``, named through ``subdivide(m.graph, e)``'s vertex tuple."""
+    """The oracle's transported generator at depth ``e``, named through ``subdivide(m.graph, e)``'s vertex tuple.
+
+    The oracle's chain position ``column_major(edges, e - 1)[x]`` is ``subdivide``'s position ``|V| + x``.
+    """
     vertices, edges = blowup._vertex_positions(m), blowup._edge_positions(m)
-    perm = vertices + [len(vertices) + i for i in blowup._chains(edges, e - 1)]
+    n = len(vertices)
+    perm = vertices + [n + i for i in blowup._chains(blowup._blocks(edges, e - 1), e - 1)]
     names = subdivide(m.graph, e).vertices
-    return {v: names[i] for v, i in zip(names, perm)}
+    named = list(names)
+    for x, p in enumerate(column_major(edges, e - 1)):
+        named[n + p] = names[n + x]
+    return {v: named[i] for v, i in zip(named, perm)}
 
 
 def test_single_edge_quadratic_blowup():
@@ -214,22 +222,43 @@ def test_oracle_positions_are_the_named_base_change_action(model_pool):
             assert sorted(vmap.values()) == sorted(vmap)
 
 
+def assert_chains_relabel_the_edge_by_edge_layout(edges, width):
+    """``chains[pi(x)] == pi(naive[x])`` for every position ``x``, with ``pi`` the column-major relabelling."""
+    chains = blowup._chains(blowup._blocks(edges, 12), width)
+    naive, pi = naive_chains(edges, width), column_major(edges, width)
+    assert sorted(pi) == list(range(len(naive)))
+    assert all(chains[pi[x]] == pi[y] for x, y in enumerate(naive)), (edges, width)
+    assert len(chains) == len(naive) and all(i in range(len(chains)) for i in chains)
+
+
 def test_chains_are_laid_out_as_edge_by_edge(model_pool):
-    """The column layout is the per-edge layout, and every list the oracle walks holds only its own positions."""
+    """The block layout is the per-edge layout relabelled, and every list the oracle walks holds only its own positions."""
     for m in model_pool:
         vertices, edges = blowup._vertex_positions(m), blowup._edge_positions(m)
         assert all(i in range(len(vertices)) for i in vertices)
         for width in range(1, 13):
-            chains = blowup._chains(edges, width)
-            assert chains == naive_chains(edges, width)
-            assert all(i in range(len(chains)) for i in chains)
+            assert_chains_relabel_the_edge_by_edge_layout(edges, width)
     rng = random.Random(22)
     for _ in range(200):
         k, width = rng.randint(0, 9), rng.randint(1, 12)
         edges = [(rng.randrange(k), rng.choice((1, -1))) for _ in range(k)]
-        chains = blowup._chains(edges, width)
-        assert chains == naive_chains(edges, width)
-        assert all(i in range(len(chains)) for i in chains)
+        assert_chains_relabel_the_edge_by_edge_layout(edges, width)
+    # no edges, only forward edges, only backward edges
+    for width in range(1, 13):
+        for edges in ([], [(j, 1) for j in (2, 0, 3, 1)], [(j, -1) for j in (2, 0, 3, 1)]):
+            assert_chains_relabel_the_edge_by_edge_layout(edges, width)
+            # blocks built only up to the requested width lay out the same list
+            assert blowup._chains(blowup._blocks(edges, width), width) == blowup._chains(blowup._blocks(edges, 12), width)
+
+
+def test_oracle_relabels_chains_of_both_steps():
+    """Circulants whose generator keeps some edge orientations and reverses others."""
+    rng = random.Random(23)
+    for m in (circulant_model(24, 1, rng), circulant_model(30, 2, rng), circulant_model(60, 4, rng)):
+        assert {step for _, step in blowup._edge_positions(m)} == {1, -1}
+        assert oracle_table(m, 12) == named_oracle_table(m, 12)
+        for e in (2, 3, 12):
+            assert oracle_vertex_map(m, e) == naive_base_change(m, ExtensionSpec(1, e))[1].vertex_map, e
 
 
 def test_a_broken_map_through_the_oracle_names_the_walk_that_breaks():
@@ -250,14 +279,16 @@ def test_a_broken_map_through_the_oracle_names_the_walk_that_breaks():
     def walk(start):
         return f"not a permutation: the walk from {start} never returns"
 
-    # Nothing maps onto vertex 1, nor onto edge c1's chain, which starts at position e - 1. No chain is
-    # walked at depth 1 or for d = 6, which fixes every vertex; a table walks depth 2 first.
+    # Nothing maps onto vertex 1, nor onto edge c1's chain. Edge c1 ranks first, so the chain's position
+    # from its tail is 0 at every depth. No chain is walked at depth 1 or for d = 6, which fixes every vertex.
+    first = next(k for k, (_, step) in enumerate(blowup._edge_positions(two_onto_one)) if step == 1)
+    assert two_onto_one.graph.edges[first].id == "c1"
     for e in range(1, 7):
-        want = {(d, 1): d == 6 for d in (1, 2, 3, 6)} if e == 1 else walk(1)
+        want = {(d, 1): d == 6 for d in (1, 2, 3, 6)} if e == 1 else walk(0)
         assert outcome(oracle_table, two_onto_one, e) == want, e
         assert outcome(oracle_table, not_onto, e) == walk(1), e
         for d in (1, 2, 3, 6):
-            want = True if d == 6 else False if e == 1 else walk(e - 1)
+            want = True if d == 6 else False if e == 1 else walk(0)
             assert outcome(oracle_splits, two_onto_one, ExtensionSpec(d, e)) == want, (d, e)
             assert outcome(oracle_splits, not_onto, ExtensionSpec(d, e)) == walk(1), (d, e)
 
