@@ -32,8 +32,6 @@ def cycles(mapping: Mapping[str, str]) -> list[list[str]]:
     One walk with a test per step: a step onto a seen key, or off the keys,
     names the walk that breaks.  (For string keys, building the set of
     values to test the map whole costs more than the steps' tests save.)
-    The blowup oracle counts its own cycle lengths and calls this only to
-    name the walk that breaks in a list of positions.
     """
     seen: set = set()
     out = []

@@ -21,9 +21,7 @@ laid out, once per call, as blocks that do not depend on the depth; each
 requested depth ``e > 1`` then concatenates its chains from those blocks
 (:func:`_chains`), which also map among themselves, and walks their cycles
 once.  Each walk, :func:`_lengths`, keeps only the distinct cycle lengths and
-builds no cycle; a list that is no permutation is handed to
-:func:`~curveindex.action.cycles` only to name the walk that breaks.  So the
-oracle shares no logic with the classifier in
+builds no cycle.  So the oracle shares no logic with the classifier in
 :mod:`curveindex.invariants`, and their agreement is evidence.
 """
 
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .action import cycles
+from .action import ActionError
 from .constructions import CurveModel
 from .invariants import ExtensionSpec, divisors
 
@@ -95,8 +93,8 @@ def _lengths(perm: list[int]) -> set[int]:
     The oracle's lists meet that by construction (their entries are
     positions), so the one way such a list can fail to be a permutation is a
     repeated entry.  Each walk runs to a seen mark, which in a permutation is
-    its own start; a walk that closes anywhere else hands the list to
-    :func:`~curveindex.action.cycles`, which names the walk that never returns.
+    its own start; a walk that closes anywhere else never returns, and the
+    error names its start as :func:`~curveindex.action.cycles` would.
     """
     seen = [False] * len(perm)
     lengths = set()
@@ -109,7 +107,7 @@ def _lengths(perm: list[int]) -> set[int]:
             y = perm[y]
             n += 1
         if y != x:
-            cycles(dict(enumerate(perm)))  # raises: a list with a repeated entry is no permutation
+            raise ActionError(f"not a permutation: the walk from {x} never returns")
         lengths.add(n)
     return lengths
 

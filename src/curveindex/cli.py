@@ -24,7 +24,7 @@ from .invariants import (
     main_theorem_prediction,
     splitting_report,
 )
-from .serialize import load_model, save_model, dumps_model
+from .serialize import load_model, dumps_model
 from .verify import (
     check_model,
     dumps_report,
@@ -66,17 +66,26 @@ def _orbit_attrs(m) -> dict[str, dict[str, str]]:
     }
 
 
+def _emit(args, obj, lines: list[str], indent: int | None = 2) -> None:
+    """Print a report: ``obj`` as JSON under ``--json``, else its text ``lines``."""
+    print(json.dumps(obj, indent=indent) if args.json else "\n".join(lines))
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is no path."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_construct(args) -> int:
     model = construct(args.genus, args.index)
+    _write(args.out, dumps_model(model))
     if args.out:
-        save_model(model, args.out)
         print(f"model written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(dumps_model(model))
     if args.dot:
-        Path(args.dot).write_text(
-            multigraph.to_dot(model.graph, _orbit_attrs(model), name="model"), encoding="utf-8"
-        )
+        _write(args.dot, multigraph.to_dot(model.graph, _orbit_attrs(model), name="model"))
         print(f"dot written to {args.dot}", file=sys.stderr)
     return 0
 
@@ -93,49 +102,41 @@ def cmd_verify(args) -> int:
             residue_cardinalities=qs,
             genus_one_cap=args.genus_one_cap,
         )
-    payload = dumps_report(report) if args.json else render_report(report)
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _write(args.out, dumps_report(report) if args.json else render_report(report))
     return 0 if report.passed else 1
 
 
 def cmd_index(args) -> int:
     model = load_model(args.model)
     value = index(model)
-    print(json.dumps({"index": value}) if args.json else value)
+    _emit(args, {"index": value}, [str(value)], indent=None)
     return 0
 
 
 def cmd_splitting(args) -> int:
     model = load_model(args.model)
     report = splitting_report(model)
-    if args.json:
-        obj = {
-            "index": report.index,
-            "case": report.case.value,
-            "table": table_obj(report.table),
-        }
-        if args.m_invariant:
-            obj["m_invariant"] = report.m_invariant
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"index: {report.index}")
-        print(f"case:  {report.case.value}")
-        if args.m_invariant:
-            print(f"m-invariant: {report.m_invariant}")
-        print("   d  e=1  e=2")
-        for d in sorted({d for d, _ in report.table}):
-            row = [("yes" if report.table[(d, e)] else "no").ljust(4) for e in (1, 2)]
-            print(f"  {d:>2}  {row[0]} {row[1]}")
+    obj = {
+        "index": report.index,
+        "case": report.case.value,
+        "table": table_obj(report.table),
+    }
+    lines = [f"index: {report.index}", f"case:  {report.case.value}"]
+    if args.m_invariant:
+        obj["m_invariant"] = report.m_invariant
+        lines.append(f"m-invariant: {report.m_invariant}")
+    lines.append("   d  e=1  e=2")
+    for d in sorted({d for d, _ in report.table}):
+        row = [("yes" if report.table[(d, e)] else "no").ljust(4) for e in (1, 2)]
+        lines.append(f"  {d:>2}  {row[0]} {row[1]}")
+    _emit(args, obj, lines)
     return 0
 
 
 def cmd_mtheorem(args) -> int:
     case = Case(args.case) if args.case else expected_case(args.genus, args.index)
     verdict = main_theorem_prediction(args.genus, args.index, ExtensionSpec(args.d, args.e), case)
-    print(json.dumps({"splits": verdict, "case": case.value}) if args.json else ("yes" if verdict else "no"))
+    _emit(args, {"splits": verdict, "case": case.value}, ["yes" if verdict else "no"], indent=None)
     return 0
 
 
@@ -144,7 +145,7 @@ def cmd_oracle(args) -> int:
     verdict = oracle_splits(model, ExtensionSpec(args.d, args.e))
     if args.emit_dot:
         graph = multigraph.subdivide(model.graph, args.e)
-        Path(args.emit_dot).write_text(multigraph.to_dot(graph, name="blowup"), encoding="utf-8")
+        _write(args.emit_dot, multigraph.to_dot(graph, name="blowup"))
     n_v, n_e = len(model.graph.vertices), len(model.graph.edges)
     summary = {
         "d": args.d,
@@ -154,32 +155,21 @@ def cmd_oracle(args) -> int:
         "euler": n_v - n_e,
         "splits": verdict,
     }
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(
-            f"blowup (d={args.d}, e={args.e}): {summary['vertices']} vertices, "
-            f"{summary['edges']} edges, chi={summary['euler']}"
-        )
-        print(f"splits: {'yes' if verdict else 'no'}")
+    head = "blowup (d={d}, e={e}): {vertices} vertices, {edges} edges, chi={euler}".format_map(summary)
+    _emit(args, summary, [head, f"splits: {'yes' if verdict else 'no'}"])
     return 0
 
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
     report = check_realizability(model, args.residue_q, args.mode)
-    if args.json:
-        obj = {
-            "passed": report.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
-        }
-        print(json.dumps(obj, indent=2))
-    else:
-        for c in report.checks:
-            line = f"{'ok  ' if c.passed else 'FAIL'} {c.name}"
-            if c.detail:
-                line += f" ({c.detail})"
-            print(line)
+    obj = {
+        "passed": report.passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
+    }
+    lines = [f"{'ok  ' if c.passed else 'FAIL'} {c.name}" + (f" ({c.detail})" if c.detail else "")
+             for c in report.checks]
+    _emit(args, obj, lines)
     return 0 if report.passed else 1
 
 

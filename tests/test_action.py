@@ -147,6 +147,16 @@ def test_cycles_of_a_list_walk_its_positions():
             assert _lengths(perm) == {len(c) for c in cycles(dict(enumerate(perm)))}
     with pytest.raises(ActionError, match="^not a permutation: the walk from 0 never returns$"):
         _lengths([1, 1])
+    for _ in range(200):  # one entry overwritten by another: one value repeats, another is never hit
+        perm = list(range(rng.randint(2, 40)))
+        rng.shuffle(perm)
+        i, j = rng.sample(range(len(perm)), 2)
+        perm[i] = perm[j]
+        with pytest.raises(ActionError) as by_dict:
+            cycles(dict(enumerate(perm)))
+        with pytest.raises(ActionError) as by_list:
+            _lengths(perm)
+        assert str(by_list.value) == str(by_dict.value)
     for bad in ([1], [-1, 0], [2, 0]):  # entries off the positions, which the oracle never makes
         with pytest.raises(ActionError, match="^not a permutation: the walk from 0 never returns$"):
             cycles(dict(enumerate(bad)))

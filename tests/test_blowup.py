@@ -437,7 +437,7 @@ def curveindex_imports(module) -> dict[str, set[str]]:
 
 def test_oracle_and_classifier_stay_independent():
     oracle = curveindex_imports(blowup)
-    assert oracle["action"] <= {"cycles"}
+    assert oracle["action"] <= {"ActionError"}
     assert oracle["invariants"] <= {"ExtensionSpec", "divisors"}
     assert "multigraph" not in oracle and "verify" not in oracle and "cli" not in oracle
     assert "blowup" not in curveindex_imports(invariants)

@@ -139,6 +139,40 @@ def test_oracle_command_answers_with_the_oracle_table(tmp_path, capsys, model_po
                 }
 
 
+def test_text_and_json_reports_agree(tmp_path, capsys, model_pool):
+    """Each report states the same facts, and exits the same way, with and without ``--json``."""
+    path = tmp_path / "m.json"
+
+    def both(*argv):
+        code, text, _ = run(capsys, *argv, str(path))
+        json_code, out, _ = run(capsys, *argv, str(path), "--json")
+        assert code == json_code
+        return code, text.splitlines(), json.loads(out)
+
+    for m in model_pool:
+        save_model(m, path)
+        _, text, obj = both("splitting", "--m-invariant")
+        assert text[:4] == [
+            f"index: {obj['index']}", f"case:  {obj['case']}", f"m-invariant: {obj['m_invariant']}", "   d  e=1  e=2"
+        ]
+        rows = {(row["d"], row["e"]): row["splits"] for row in obj["table"]}
+        assert [line.split() for line in text[4:]] == [
+            [str(d), *("yes" if rows[d, e] else "no" for e in (1, 2))] for d in sorted({d for d, _ in rows})
+        ]
+        _, text, index_obj = both("index")
+        assert text == [str(obj["index"])] and index_obj == {"index": obj["index"]}
+        code, text, obj = both("check", "--residue-q", "2")
+        assert code == (0 if obj["passed"] else 1)
+        assert [line[:4] for line in text] == ["ok  " if c["passed"] else "FAIL" for c in obj["checks"]]
+        assert [line[5:] for line in text] == [c["name"] + (f" ({c['detail']})" if c["detail"] else "")
+                                               for c in obj["checks"]]
+        _, text, obj = both("oracle", "--d", str(m.action.order), "--e", "2")
+        assert text == [
+            f"blowup (d={obj['d']}, e=2): {obj['vertices']} vertices, {obj['edges']} edges, chi={obj['euler']}",
+            f"splits: {'yes' if obj['splits'] else 'no'}",
+        ]
+
+
 def test_check_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_model(construct(3, 1), path)
