@@ -33,6 +33,10 @@ from .action import ActionError
 from .constructions import CurveModel
 from .invariants import ExtensionSpec, divisors
 
+# Most cells in a table, and chain positions summed over its depths, one oracle call builds.
+# At the limit a call takes about a second and at most about 150 MB (Python 3.11, x86-64).
+MAX_WORK = 10**6
+
 
 def _vertex_positions(m: CurveModel) -> list[int]:
     """Each vertex's image position."""
@@ -112,13 +116,22 @@ def _lengths(perm: list[int]) -> set[int]:
     return lengths
 
 
-def _verdicts(m: CurveModel, ds: Sequence[int], depths: Sequence[int]) -> dict[tuple[int, int], bool]:
-    """Whether the ``d``-th power fixes a position at depth ``e``, for ``d`` in ``ds`` and ``e`` in ``depths``."""
+def _verdicts(m: CurveModel, ds: Sequence[int], depths: range) -> dict[tuple[int, int], bool]:
+    """Whether the ``d``-th power fixes a position at depth ``e``, for ``d`` in ``ds`` and ``e`` in ``depths``.
+
+    A table or chain layout past :data:`MAX_WORK` is refused before it is built.
+    """
+    if len(ds) * len(depths) > MAX_WORK:
+        raise ValueError(f"the oracle table would hold {len(ds) * len(depths)} cells; the limit is {MAX_WORK}")
     own = _lengths(_vertex_positions(m))
     settled = {d: any(d % n == 0 for n in own) for d in ds}
     chains = {}
     if not all(settled.values()):
-        blocks = _blocks(_edge_positions(m), max(depths) - 1)
+        # depth e lays out e - 1 positions per edge, summed over a run of depths from its ends
+        positions = len(depths) * (depths[0] + depths[-1] - 2) // 2 * len(m.graph.edges)
+        if positions > MAX_WORK:
+            raise ValueError(f"the oracle's chains would hold {positions} positions; the limit is {MAX_WORK}")
+        blocks = _blocks(_edge_positions(m), depths[-1] - 1)
         chains = {e: _lengths(_chains(blocks, e - 1)) for e in depths if e > 1}
     return {(d, e): settled[d] or any(d % n == 0 for n in chains.get(e, ())) for d in ds for e in depths}
 
@@ -127,7 +140,7 @@ def oracle_splits(m: CurveModel, x: ExtensionSpec) -> bool:
     """True iff the ``x.d``-th power of the transported generator fixes a vertex at depth ``x.e``."""
     if m.action.order % x.d != 0:
         raise ValueError(f"d = {x.d} does not divide the acting order {m.action.order}")
-    return _verdicts(m, (x.d,), (x.e,))[x.d, x.e]
+    return _verdicts(m, (x.d,), range(x.e, x.e + 1))[x.d, x.e]
 
 
 def oracle_table(m: CurveModel, e_max: int) -> dict[tuple[int, int], bool]:

@@ -79,7 +79,7 @@ class CurveModel:
 
     @cached_property
     def validation(self) -> ValidationReport:
-        """``validate(graph, action)``, made once per model (a model file's parser stores the one it made)."""
+        """``validate(graph, action)``, made once per model (a model file's parser reads it too)."""
         return validate(self.graph, self.action)
 
 
@@ -114,26 +114,30 @@ def cayley_graph(gs: GeneratingSet) -> tuple[MultiGraph, CyclicAction]:
     return graph, CyclicAction(order, vmap, emap)
 
 
-def mobius_ladder(g: int) -> tuple[MultiGraph, CyclicAction]:
-    """Cycle of length ``2g - 2`` plus antipodal rungs, with rotation by 1.
+def _rotation(n: int, rungs: int) -> tuple[MultiGraph, CyclicAction]:
+    """Vertices ``Z/n``, edges ``c<i> = (i, i+1 mod n)`` and ``r<i> = (i, i+rungs)`` for ``i < rungs``, rotated by 1.
 
-    Explicitly: vertices ``Z/(2g-2)``, cycle edges ``c<i> = {i, i+1}`` and
-    rungs ``r<i> = {i, i+g-1}`` for ``i < g-1``.  At ``g = 2`` the recipe
-    degenerates gracefully to two vertices joined by three parallel edges.
-    Rotation carries ``r<g-2>`` back to ``r0`` with its orientation reversed;
-    that convention pins the edge map down even when vertex images alone
-    cannot distinguish parallel edges.
+    The rotation carries ``r<rungs-1>`` to ``r0``; that convention pins the
+    edge map down even when vertex images cannot tell parallel edges apart.
+    """
+    edges = [(f"c{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    edges += [(f"r{i}", str(i), str(i + rungs)) for i in range(rungs)]
+    vmap = {str(i): str((i + 1) % n) for i in range(n)}
+    emap = {f"c{i}": f"c{(i + 1) % n}" for i in range(n)}
+    emap.update({f"r{i}": f"r{(i + 1) % rungs}" for i in range(rungs)})
+    return MultiGraph.build(vmap, edges), CyclicAction(n, vmap, emap)
+
+
+def mobius_ladder(g: int) -> tuple[MultiGraph, CyclicAction]:
+    """Cycle of length ``2g - 2`` plus antipodal rungs ``r<i> = {i, i+g-1}``, with rotation by 1.
+
+    At ``g = 2`` the recipe degenerates gracefully to two vertices joined by
+    three parallel edges.  Rotation carries ``r<g-2>`` back to ``r0`` with
+    its orientation reversed.
     """
     if g < 2:
         raise ValueError(f"Moebius ladders need genus >= 2, got {g}")
-    n = 2 * g - 2
-    edges = [(f"c{i}", str(i), str((i + 1) % n)) for i in range(n)]
-    edges += [(f"r{i}", str(i), str(i + g - 1)) for i in range(g - 1)]
-    graph = MultiGraph.build((str(i) for i in range(n)), edges)
-    vmap = {str(i): str((i + 1) % n) for i in range(n)}
-    emap = {f"c{i}": f"c{(i + 1) % n}" for i in range(n)}
-    emap.update({f"r{i}": f"r{(i + 1) % (g - 1)}" for i in range(g - 1)})
-    return graph, CyclicAction(n, vmap, emap)
+    return _rotation(2 * g - 2, g - 1)
 
 
 def cycle_model(order: int) -> tuple[MultiGraph, CyclicAction]:
@@ -144,13 +148,7 @@ def cycle_model(order: int) -> tuple[MultiGraph, CyclicAction]:
     """
     if order < 2:
         raise ValueError(f"cycles need order >= 2, got {order}")
-    graph = MultiGraph.build(
-        (str(i) for i in range(order)),
-        ((f"c{i}", str(i), str((i + 1) % order)) for i in range(order)),
-    )
-    vmap = {str(i): str((i + 1) % order) for i in range(order)}
-    emap = {f"c{i}": f"c{(i + 1) % order}" for i in range(order)}
-    return graph, CyclicAction(order, vmap, emap)
+    return _rotation(order, 0)
 
 
 def coathanger_chain(g: int) -> tuple[MultiGraph, CyclicAction]:
@@ -238,6 +236,14 @@ class RealizabilityReport:
         return all(c.passed for c in self.checks)
 
 
+def _named(head: str, vertices: list[str]) -> str:
+    """``head`` and the first 12 of ``vertices`` as a list, with a count of the rest; "" for none."""
+    if not vertices:
+        return ""
+    more = len(vertices) - 12
+    return f"{head}{vertices[:12]}" + (f" (+{more} more)" if more > 0 else "")
+
+
 def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> RealizabilityReport:
     """Can this graph-with-action be the dual graph of an actual fiber?
 
@@ -262,13 +268,7 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
 
     deg = m.graph.degrees
     too_big = sorted(compress(deg, map((3).__lt__, deg.values())))  # degree above 3
-    checks.append(
-        RealizabilityCheck(
-            "degree-bound",
-            not too_big,
-            "" if not too_big else f"vertices of degree > 3: {too_big}",
-        )
-    )
+    checks.append(RealizabilityCheck("degree-bound", not too_big, _named("vertices of degree > 3: ", too_big)))
 
     if q == math.inf:
         checks.append(RealizabilityCheck("point-supply", True, "infinite residue field"))
@@ -277,13 +277,7 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
         if mode == "full":
             # q**k > k for q >= 2, so an exponent past the degree cannot change the verdict
             bad = sorted(v for v in m.graph.vertices if deg[v] > q ** min(orbit[v], deg[v]))
-            checks.append(
-                RealizabilityCheck(
-                    "point-supply",
-                    not bad,
-                    "" if not bad else f"too many nodes for q={q} at: {bad}",
-                )
-            )
+            checks.append(RealizabilityCheck("point-supply", not bad, _named(f"too many nodes for q={q} at: ", bad)))
         else:
             good = sorted(v for v, size in orbit.items() if size == 1 and deg[v] <= q)
             checks.append(

@@ -76,11 +76,6 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-def _per_vertex(m: CurveModel, key: str):
-    """Each vertex's component ``key`` (``"ns_index"`` or ``"multiplicity"``), in graph order."""
-    return map(attrgetter(key), map(m.components.get, m.graph.vertices, repeat(UNIT)))
-
-
 def index(m: CurveModel) -> int:
     """gcd over components of (orbit size) * (nonsingular index).
 
@@ -88,17 +83,8 @@ def index(m: CurveModel) -> int:
     splitting degrees are exactly the multiples of the per-component terms.
     """
     orbits = map(m.action.vertex_orbit.__getitem__, m.graph.vertices)
-    return math.gcd(*map(mul, orbits, _per_vertex(m, "ns_index")))
-
-
-def snc_index(m: CurveModel) -> int:
-    """gcd over components of (orbit size) * (multiplicity) * (nonsingular index).
-
-    Extends :func:`index` to models whose components carry multiplicities;
-    with unit multiplicities the two agree.
-    """
-    orbits = map(m.action.vertex_orbit.__getitem__, m.graph.vertices)
-    return math.gcd(*map(mul, orbits, map(mul, _per_vertex(m, "multiplicity"), _per_vertex(m, "ns_index"))))
+    ns = map(attrgetter("ns_index"), map(m.components.get, m.graph.vertices, repeat(UNIT)))
+    return math.gcd(*map(mul, orbits, ns))
 
 
 def _table(a: CyclicAction) -> dict[tuple[int, int], bool]:

@@ -27,8 +27,8 @@ one nested past the interpreter's stack or holding an integer past
 ``int``'s digit limit.  A lawful file costs whole-list type checks of the
 graph and action, one whole-column test of the components and one pass per
 law; only a failed list, column or law is scanned item by item for the
-message.  The model keeps its validation report
-(:attr:`CurveModel.validation`), so checking it later validates nothing again.
+message.  The action's laws are read off the built model's cached report
+(:attr:`CurveModel.validation`), after every section, so nothing validates twice.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from operator import mul, ne
 from pathlib import Path
 
-from .action import CyclicAction, validate
+from .action import CyclicAction
 from .constructions import UNIT, Component, CurveModel
 from .multigraph import GraphError, MultiGraph, is_connected
 
@@ -150,16 +150,6 @@ def model_from_obj(obj: dict) -> CurveModel:
         raise ModelFormatError(f"graph: {err}") from None
     action = action_from_obj(obj.get("action"))
 
-    report = validate(graph, action)
-    if not report.ok:
-        head = "; ".join(f"{v.law}[{v.subject}]: {v.detail}" for v in report.violations[:5])
-        more = len(report.violations) - 5
-        raise ModelFormatError(
-            f"action fails validation: {head}" + (f" (+{more} more)" if more > 0 else "")
-        )
-    if not is_connected(graph):
-        raise ModelFormatError("graph must be connected")
-
     components = dict.fromkeys(graph.vertices, UNIT)
     raw = obj.get("components", {})
     if not isinstance(raw, dict):
@@ -191,7 +181,15 @@ def model_from_obj(obj: dict) -> CurveModel:
             raise ModelFormatError("claimed must carry a non-negative genus and a positive index")
         claimed = (raw_claim["genus"], raw_claim["index"])
     model = CurveModel(graph, action, components, claimed)
-    vars(model)["validation"] = report  # the cached property: the model's checks need not validate again
+    report = model.validation
+    if not report.ok:
+        head = "; ".join(f"{v.law}[{v.subject}]: {v.detail}" for v in report.violations[:5])
+        more = len(report.violations) - 5
+        raise ModelFormatError(
+            f"action fails validation: {head}" + (f" (+{more} more)" if more > 0 else "")
+        )
+    if not is_connected(graph):
+        raise ModelFormatError("graph must be connected")
     return model
 
 

@@ -306,6 +306,29 @@ def test_oracle_table_rejects_depth_below_one():
         oracle_table(construct(4, 6), 0)
 
 
+def test_oracle_refuses_work_past_its_limit_before_laying_anything_out(monkeypatch):
+    laid_out = []
+    blocks = blowup._blocks
+    monkeypatch.setattr(blowup, "_blocks", lambda *args: laid_out.append(args) or blocks(*args))
+    m = construct(4, 6)  # 4 divisors, 9 edges, d = 6 settled by the vertices and the rest not
+    monkeypatch.setattr(blowup, "MAX_WORK", 9 * 66)  # the chains of depths 2..12
+    assert oracle_table(m, 12) == {(d, e): splits(m, ExtensionSpec(d, e)) for d in (1, 2, 3, 6) for e in range(1, 13)}
+    assert oracle_splits(m, ExtensionSpec(1, 67)) is False  # one depth: 66 positions per edge
+    laid_out.clear()
+    with pytest.raises(ValueError, match="^the oracle's chains would hold 702 positions; the limit is 594$"):
+        oracle_table(m, 13)
+    with pytest.raises(ValueError, match="^the oracle's chains would hold 603 positions; the limit is 594$"):
+        oracle_splits(m, ExtensionSpec(1, 68))
+    assert laid_out == []
+    # a settled d lays out nothing, so only its table counts
+    assert oracle_splits(m, ExtensionSpec(6, 10**9)) is True
+    trivial = construct(3, 1)
+    assert len(oracle_table(trivial, 594)) == 594
+    with pytest.raises(ValueError, match="^the oracle table would hold 595 cells; the limit is 594$"):
+        oracle_table(trivial, 595)
+    assert laid_out == []
+
+
 def test_oracle_table_builds_no_graph(monkeypatch):
     builds, names = [], []
     build = MultiGraph.build

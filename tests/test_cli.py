@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -331,13 +332,13 @@ def test_unparseable_model_is_input_error(tmp_path, capsys):
 HUGE_ORDER = 2 * 10**7
 
 
-def run_in_subprocess(argv, path):
+def run_in_subprocess(argv, path, preexec_fn=None):
     """Run the CLI in a subprocess, bounded at 10 s, with ``{m}`` in ``argv`` standing for ``path``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "curveindex.cli"] + [a.format(m=path) for a in argv]
     try:
-        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10, preexec_fn=preexec_fn)
     except subprocess.TimeoutExpired:
         pytest.fail(f"{argv[0]} did not finish within 10 s on {path.name}")
 
@@ -382,6 +383,32 @@ def test_json_beyond_the_decoders_limits_is_input_error(tmp_path, argv, text):
     assert proc.returncode == 2
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(f"error: {path}: ")
+
+
+def limit_address_space():
+    """Cap the child's address space at 1 GB, so that a call that does allocate fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize(
+    "genus, index, argv, message",
+    [
+        (4, 6, ["oracle", "{m}", "--d", "1", "--e", "100000000"],
+         "the oracle's chains would hold 899999991 positions; the limit is 1000000"),
+        (4, 6, ["verify", "--model", "{m}", "--e-max", "100000000"],
+         "the oracle table would hold 400000000 cells; the limit is 1000000"),
+        (3, 1, ["verify", "--model", "{m}", "--e-max", "100000000"],
+         "the oracle table would hold 100000000 cells; the limit is 1000000"),
+    ],
+    ids=["oracle", "verify", "verify-trivial"],
+)
+def test_oracle_work_past_the_limit_is_input_error(tmp_path, genus, index, argv, message):
+    # Each call would allocate gigabytes; it is refused before anything is laid out.
+    path = tmp_path / "m.json"
+    save_model(construct(genus, index), path)
+    proc = run_in_subprocess(argv, path, preexec_fn=limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(

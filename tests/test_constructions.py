@@ -12,8 +12,10 @@ from conftest import (
     random_generating_set,
 )
 from curveindex.action import validate
+from curveindex.cli import main
 from curveindex.constructions import (
     GeneratingSet,
+    as_model,
     cayley_graph,
     check_realizability,
     coathanger_chain,
@@ -28,6 +30,7 @@ from curveindex.multigraph import (
     euler_characteristic,
     is_connected,
 )
+from curveindex.serialize import save_model
 from curveindex.verify import admissible_orders
 
 
@@ -114,6 +117,28 @@ def test_mobius_matches_cayley_form():
         assert are_isomorphic(ladder, cay)
 
 
+def test_mobius_ladder_is_its_recipe():
+    # the docstring's recipe, item by item and in order: vertices Z/(2g-2), cycle
+    # edges c<i> = (i, i+1), rungs r<i> = (i, i+g-1), rotation by 1 with r<g-2> -> r0
+    for g in range(2, 13):
+        n = 2 * g - 2
+        graph, action = mobius_ladder(g)
+        assert graph.vertices == tuple(str(i) for i in range(n))
+        assert list(map(tuple, graph.edges)) == (
+            [(f"c{i}", str(i), str((i + 1) % n)) for i in range(n)]
+            + [(f"r{i}", str(i), str(i + g - 1)) for i in range(g - 1)]
+        )
+        assert action.order == n
+        assert list(action.vertex_map.items()) == [(str(i), str((i + 1) % n)) for i in range(n)]
+        assert list(action.edge_map.items()) == (
+            [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+            + [(f"r{i}", f"r{(i + 1) % (g - 1)}") for i in range(g - 1)]
+        )
+    graph, action = mobius_ladder(2)
+    assert list(map(tuple, graph.edges)) == [("c0", "0", "1"), ("c1", "1", "0"), ("r0", "0", "1")]
+    assert action.edge_map == {"c0": "c1", "c1": "c0", "r0": "r0"}
+
+
 def test_mobius_rejects_small_genus():
     with pytest.raises(ValueError):
         mobius_ladder(1)
@@ -134,6 +159,19 @@ def test_cycle_two_swaps_everything():
     assert action.vertex_map == {"0": "1", "1": "0"}
     assert action.edge_map == {"c0": "c1", "c1": "c0"}
     assert acts_freely_on_edges(graph, action)
+
+
+def test_cycle_is_its_recipe():
+    # vertices Z/I, edges c<i> = (i, i+1), rotation by 1 on both
+    for order in range(2, 13):
+        graph, action = cycle_model(order)
+        assert graph.vertices == tuple(str(i) for i in range(order))
+        assert list(map(tuple, graph.edges)) == [(f"c{i}", str(i), str((i + 1) % order)) for i in range(order)]
+        assert action.order == order
+        assert list(action.vertex_map.items()) == [(str(i), str((i + 1) % order)) for i in range(order)]
+        assert list(action.edge_map.items()) == [(f"c{i}", f"c{(i + 1) % order}") for i in range(order)]
+    graph, _ = cycle_model(2)
+    assert list(map(tuple, graph.edges)) == [("c0", "0", "1"), ("c1", "1", "0")]
 
 
 def test_cycle_rejects_order_one():
@@ -268,8 +306,6 @@ def test_realizability_coathanger_full_q2_fails_at_hubs():
 def test_realizability_degree_bound():
     gs = GeneratingSet(8, frozenset({1, 7, 2, 6}))
     graph, action = cayley_graph(gs)
-    from curveindex.constructions import as_model
-
     report = check_realizability(as_model(graph, action), math.inf, "full")
     assert not report.passed  # 4-regular
     assert not next(c for c in report.checks if c.name == "degree-bound").passed
@@ -310,4 +346,23 @@ def test_realizability_matches_the_uncapped_comparison(model_pool):
             bad = sorted(v for v in m.graph.vertices if degree(m.graph, v) > q ** m.action.vertex_orbit[v])
             supply = next(c for c in check_realizability(m, q, "full").checks if c.name == "point-supply")
             assert supply.passed == (not bad)
-            assert supply.detail == ("" if not bad else f"too many nodes for q={q} at: {bad}")
+            named = f"{bad[:12]}" + (f" (+{len(bad) - 12} more)" if len(bad) > 12 else "")
+            assert supply.detail == ("" if not bad else f"too many nodes for q={q} at: {named}")
+
+
+def test_realizability_names_at_most_twelve_vertices(tmp_path, capsys):
+    # 1001 hubs and the 999 inner pendants of the chain have degree 3 > 2
+    m = construct(1001, 1)
+    supply = check_realizability(m, 2, "full").checks[2]
+    head = ['0.0', '1.0', '1.1', '10.0', '10.1', '100.0', '100.1', '1000.0', '101.0', '101.1', '102.0', '102.1']
+    assert supply.detail == f"too many nodes for q=2 at: {head} (+1988 more)"
+    path = tmp_path / "id.json"
+    save_model(m, path)
+    assert main(["check", str(path), "--residue-q", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[2] == f"FAIL point-supply ({supply.detail})"
+    # the 20 vertices of a 4-regular circulant: twelve named, in sorted order, and eight counted
+    graph, action = cayley_graph(GeneratingSet(20, frozenset({1, 19, 2, 18})))
+    bound = check_realizability(as_model(graph, action), math.inf).checks[1]
+    assert bound.detail == f"vertices of degree > 3: {sorted(map(str, range(20)))[:12]} (+8 more)"
+    exact = check_realizability(as_model(*cayley_graph(GeneratingSet(12, frozenset({1, 11, 2, 10})))), math.inf)
+    assert exact.checks[1].detail == f"vertices of degree > 3: {sorted(map(str, range(12)))}"

@@ -26,7 +26,6 @@ from curveindex.invariants import (
     divisors,
     index,
     main_theorem_prediction,
-    snc_index,
     splits,
     splitting_report,
 )
@@ -112,28 +111,6 @@ def test_index_divides_two_genus_minus_two(model_pool):
             assert (2 * arithmetic_genus(m.graph) - 2) % index(m) == 0, (m.claimed, index(m))
             checked += 1
     assert checked >= len(grid) + len(circulants)
-
-
-# snc index
-
-def test_snc_reduces_to_index(model_pool):
-    for m in model_pool[:20]:
-        assert snc_index(m) == index(m)
-
-
-def test_snc_coprime_multiplicities():
-    graph = MultiGraph.build(["a", "b"], [("e", "a", "b")])
-    m = trivial_model(
-        graph,
-        components={"a": Component(multiplicity=2), "b": Component(multiplicity=3)},
-    )
-    assert snc_index(m) == 1
-
-
-def test_snc_single_vertex_multiplicity():
-    graph = MultiGraph.build(["a"], [])
-    m = trivial_model(graph, components={"a": Component(multiplicity=4)})
-    assert snc_index(m) == 4
 
 
 # splits

@@ -144,6 +144,28 @@ def test_rejects_bad_claimed():
         model_from_obj(obj)
 
 
+def test_section_errors_come_before_action_law_errors():
+    # the sections are read before the built model is validated, and the laws before connectivity
+    obj = model_to_obj(construct(1, 3))
+    obj["action"]["edge_map"]["c0"] = "c2"
+    obj["components"]["zz"] = {"ns_index": 1}
+    obj["claimed"] = {"genus": -1, "index": 3}
+    with pytest.raises(ModelFormatError, match=r"^components\['zz'\]: unknown vertex$"):
+        model_from_obj(obj)
+    del obj["components"]["zz"]
+    with pytest.raises(ModelFormatError, match="^claimed must carry"):
+        model_from_obj(obj)
+    del obj["claimed"]
+    with pytest.raises(ModelFormatError, match=r"^action fails validation: edge-bijection\[c1\]"):
+        model_from_obj(obj)
+    obj = {
+        "graph": {"vertices": [{"id": "a"}, {"id": "b"}], "edges": []},
+        "action": {"order": 1, "vertex_map": {"a": "b", "b": "a"}, "edge_map": {}},
+    }
+    with pytest.raises(ModelFormatError, match=r"^action fails validation: order\[a\]"):
+        model_from_obj(obj)
+
+
 def test_dumps_is_stable_json():
     m = construct(2, 2)
     first = dumps_model(m)
