@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from . import multigraph
 from .action import cycles
@@ -24,7 +24,7 @@ from .invariants import (
     main_theorem_prediction,
     splitting_report,
 )
-from .serialize import load_model, dumps_model
+from .serialize import _model_sections, load_model
 from .verify import (
     check_model,
     dumps_report,
@@ -71,21 +71,22 @@ def _emit(args, obj, lines: list[str], indent: int | None = 2) -> None:
     print(json.dumps(obj, indent=indent) if args.json else "\n".join(lines))
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout when there is no path."""
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one by one to the file at ``path``, or to stdout when there is no path."""
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_construct(args) -> int:
     model = construct(args.genus, args.index)
-    _write(args.out, dumps_model(model))
+    _write(args.out, _model_sections(model))
     if args.out:
         print(f"model written to {args.out}", file=sys.stderr)
     if args.dot:
-        _write(args.dot, multigraph.to_dot(model.graph, _orbit_attrs(model), name="model"))
+        _write(args.dot, [multigraph.to_dot(model.graph, _orbit_attrs(model), name="model")])
         print(f"dot written to {args.dot}", file=sys.stderr)
     return 0
 
@@ -102,7 +103,7 @@ def cmd_verify(args) -> int:
             residue_cardinalities=qs,
             genus_one_cap=args.genus_one_cap,
         )
-    _write(args.out, dumps_report(report) if args.json else render_report(report))
+    _write(args.out, [dumps_report(report) if args.json else render_report(report)])
     return 0 if report.passed else 1
 
 
@@ -145,7 +146,7 @@ def cmd_oracle(args) -> int:
     verdict = oracle_splits(model, ExtensionSpec(args.d, args.e))
     if args.emit_dot:
         graph = multigraph.subdivide(model.graph, args.e)
-        _write(args.emit_dot, multigraph.to_dot(graph, name="blowup"))
+        _write(args.emit_dot, [multigraph.to_dot(graph, name="blowup")])
     n_v, n_e = len(model.graph.vertices), len(model.graph.edges)
     summary = {
         "d": args.d,

@@ -15,25 +15,30 @@ Every section is read and written here, the graph section included::
 
 Writing: a model file is ``json.dumps(model_to_obj(m), indent=2,
 sort_keys=True)`` plus a newline (keys sorted, two-space indent, ASCII-only
-escapes).  :func:`dumps_model` writes that layout straight from the model,
-one joined list of entries per section, because ``json.dumps`` with
-``indent`` leaves the C encoder for a pure-Python one, several times slower
-on a large model.
+escapes).  One private generator writes that layout straight from the model,
+one section at a time, each section's entries laid out and joined only when
+it is reached, because ``json.dumps`` with ``indent`` leaves the C encoder
+for a pure-Python one, several times slower on a large model.
+:func:`dumps_model` is the join of its sections; :func:`save_model` writes
+them to the file as they are made, so the whole text is never one string.
 
-Reading: parsing validates everything a :class:`CurveModel` promises (graph
-shape, action laws, connectivity) and raises :class:`ModelFormatError` with
-the offending location; so does a file the JSON decoder refuses, including
-one nested past the interpreter's stack or holding an integer past
-``int``'s digit limit.  A lawful file costs whole-list type checks of the
-graph and action, one whole-column test of the components and one pass per
-law; only a failed list, column or law is scanned item by item for the
-message.  The action's laws are read off the built model's cached report
+Reading: :func:`load_model` drops the file's text as soon as it is decoded,
+so only the decoded document is alive while the model is built.  Parsing
+validates everything a :class:`CurveModel` promises (graph shape, action
+laws, connectivity) and raises :class:`ModelFormatError` with the offending
+location; so does a file the JSON decoder refuses, including one nested past
+the interpreter's stack or holding an integer past ``int``'s digit limit.  A
+lawful file costs whole-list type checks of the graph and action, one
+whole-column test of the components and one pass per law; only a failed
+list, column or law is scanned item by item for the message.  The action's
+laws are read off the built model's cached report
 (:attr:`CurveModel.validation`), after every section, so nothing validates twice.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul, ne
@@ -213,47 +218,67 @@ def _container(entries: list[str], brackets: str, indent: str) -> str:
     return brackets[0] + "\n" + ",\n".join(entries) + "\n" + indent + brackets[1]
 
 
-def dumps_model(m: CurveModel) -> str:
-    """The model file: ``json.dumps(model_to_obj(m), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+def _model_sections(m: CurveModel) -> Iterator[str]:
+    """The model file's text, one section at a time, in file order.
 
-    The layout is fixed, so it is written straight from the model: each
-    section is one list of entry strings, joined once, with identifiers
-    quoted by ``json``'s own C string encoder and integers by ``int.__repr__``.
-    ``json.dumps`` with ``indent`` runs its pure-Python encoder, one generator
-    step per token, which took most of the time of writing a large model.
+    Each section's entries are laid out and joined only when the section is
+    reached, and nothing here holds a section once it is yielded, so a
+    writer that writes each piece as it comes never has more than one
+    section's entries and text in memory.  Identifiers are quoted by
+    ``json``'s own C string encoder and integers by ``int.__repr__``.
     """
     q, num = encode_basestring_ascii, int.__repr__
     a, g = m.action, m.graph
-    edge_map = [f"      {q(k)}: {q(a.edge_map[k])}" for k in sorted(a.edge_map)]
-    vertex_map = [f"      {q(k)}: {q(a.vertex_map[k])}" for k in sorted(a.vertex_map)]
-    components = [
+    yield '{\n  "action": {\n    "edge_map": '
+    yield _container([f"      {q(k)}: {q(a.edge_map[k])}" for k in sorted(a.edge_map)], "{}", "    ")
+    yield f',\n    "order": {num(a.order)},\n    "vertex_map": '
+    yield _container([f"      {q(k)}: {q(a.vertex_map[k])}" for k in sorted(a.vertex_map)], "{}", "    ")
+    yield "\n  },\n"
+    if m.claimed is not None:
+        yield f'  "claimed": {{\n    "genus": {num(m.claimed[0])},\n    "index": {num(m.claimed[1])}\n  }},\n'
+    yield '  "components": '
+    yield _container([
         f'    {q(v)}: {{\n      "multiplicity": {num(c.multiplicity)},\n      "ns_index": {num(c.ns_index)}\n    }}'
         for v, c in sorted(m.components.items())
-    ]
-    edges = [
+    ], "{}", "  ")
+    yield ',\n  "graph": {\n    "edges": '
+    yield _container([
         f'      {{\n        "ends": [\n          {q(tail)},\n          {q(head)}\n        ],\n        "id": {q(e)}\n      }}'
         for e, tail, head in g.edges
-    ]
-    vertices = [f'      {{\n        "id": {q(v)}\n      }}' for v in g.vertices]
-    claimed = (
-        ""
-        if m.claimed is None
-        else f'  "claimed": {{\n    "genus": {num(m.claimed[0])},\n    "index": {num(m.claimed[1])}\n  }},\n'
-    )
-    return (
-        f'{{\n  "action": {{\n    "edge_map": {_container(edge_map, "{}", "    ")},\n'
-        f'    "order": {num(a.order)},\n    "vertex_map": {_container(vertex_map, "{}", "    ")}\n  }},\n'
-        f'{claimed}  "components": {_container(components, "{}", "  ")},\n'
-        f'  "graph": {{\n    "edges": {_container(edges, "[]", "    ")},\n'
-        f'    "vertices": {_container(vertices, "[]", "    ")}\n  }}\n}}\n'
-    )
+    ], "[]", "    ")
+    yield ',\n    "vertices": '
+    yield _container([f'      {{\n        "id": {q(v)}\n      }}' for v in g.vertices], "[]", "    ")
+    yield "\n  }\n}\n"
+
+
+def dumps_model(m: CurveModel) -> str:
+    """The model file: ``json.dumps(model_to_obj(m), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The layout is fixed, so it is written straight from the model, as the
+    join of the sections :func:`save_model` writes one by one.  ``json.dumps``
+    with ``indent`` runs its pure-Python encoder, one generator step per
+    token, which took most of the time of writing a large model.
+    """
+    return "".join(_model_sections(m))
 
 
 def save_model(m: CurveModel, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(m), encoding="utf-8")
+    """Write the model file, :func:`dumps_model`'s text, to ``path`` one section at a time.
+
+    The whole text never exists as one string: each section is written as it
+    is made and dropped before the next is laid out.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_model_sections(m))
 
 
 def load_model(path: str | Path) -> CurveModel:
+    """The model in the file at ``path``; :class:`ModelFormatError` names the path and what is wrong.
+
+    The file's text is dropped as soon as ``json`` has decoded it, so only
+    the decoded document is alive while :func:`model_from_obj` builds and
+    validates the model.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -264,6 +289,7 @@ def load_model(path: str | Path) -> CurveModel:
         # Beside JSONDecodeError: an integer of more digits than int() accepts
         # (ValueError) and nesting deeper than the interpreter's stack (RecursionError).
         raise ModelFormatError(f"{path}: not valid JSON: {err}") from None
+    del text
     try:
         return model_from_obj(obj)
     except ModelFormatError as err:

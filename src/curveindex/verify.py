@@ -37,10 +37,17 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 from .blowup import oracle_table
-from .constructions import CurveModel, check_realizability, construct, ladder_model, mobius_ladder
+from .constructions import CurveModel, check_realizability, construct, ladder_model, mobius_ladder, vertex_count
 from .invariants import Case, ExtensionSpec, divisors, main_theorem_prediction, splitting_report
 from .multigraph import euler_characteristic, is_connected
 from .serialize import _container
+
+
+# Most vertices one sweep builds, summed over its cells.  Every genus adds at
+# least ``4g`` (its ``I = 1`` cell), so this bounds a large ``genus_max`` as
+# well as a large genus-one cap.  At the limit a sweep at the default
+# ``e_max`` (genus_max 280) takes about 6 s and 31 MB (Python 3.11, x86-64).
+MAX_SWEEP = 10**6
 
 
 def expected_case(genus: int, order: int) -> Case:
@@ -187,13 +194,19 @@ def run_verification(
     residue_cardinalities: tuple[int | float, ...] = (math.inf,),
     genus_one_cap: int | None = None,
 ) -> VerificationReport:
-    """Check every admissible cell with genus up to ``genus_max``."""
+    """Check every admissible cell with genus up to ``genus_max``.
+
+    A sweep whose models would have more than :data:`MAX_SWEEP` vertices in
+    all is refused before any model is built.
+    """
     if genus_max < 0:
         raise ValueError(f"genus_max must be non-negative, got {genus_max}")
     if genus_one_cap is None:
         genus_one_cap = 2 * genus_max + 2
     elif genus_one_cap < 0:
         raise ValueError(f"genus_one_cap must be non-negative, got {genus_one_cap}")
+    if _sweep_vertices(genus_max, genus_one_cap) > MAX_SWEEP:
+        raise ValueError(f"the sweep's models would have more vertices in all than the limit, {MAX_SWEEP}")
     cells = []
     for genus in range(genus_max + 1):
         ladder = mobius_ladder(genus) if genus >= 2 else None  # one graph for every I >= 2 of the genus
@@ -201,6 +214,22 @@ def run_verification(
             model = ladder_model(ladder, order) if ladder and order > 1 else construct(genus, order)
             cells.append(check_model(model, e_max, residue_cardinalities))
     return VerificationReport(tuple(cells), e_max, tuple(residue_cardinalities))
+
+
+def _sweep_vertices(genus_max: int, genus_one_cap: int) -> int:
+    """The vertices of the sweep's models, summed in sweep order until the sum passes :data:`MAX_SWEEP`.
+
+    The genus-one orders are counted off a ``range``, so a large cap is
+    refused without listing its orders.
+    """
+    total = 0
+    for genus in range(genus_max + 1):
+        orders = range(1, genus_one_cap + 1) if genus == 1 else admissible_orders(genus, genus_one_cap)
+        for order in orders:
+            total += vertex_count(genus, order)
+            if total > MAX_SWEEP:
+                return total
+    return total
 
 
 def render_cell(c: CellReport) -> str:

@@ -412,6 +412,23 @@ def test_oracle_work_past_the_limit_is_input_error(tmp_path, genus, index, argv,
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--genus", "100000000", "--index", "1"],
+         "the model would have 400000000 vertices; the limit is 100000"),
+        (["verify", "--genus-max", "2", "--genus-one-cap", "1000000000"],
+         "the sweep's models would have more vertices in all than the limit, 1000000"),
+    ],
+    ids=["construct", "verify"],
+)
+def test_sizes_past_the_limit_are_input_error(tmp_path, argv, message):
+    # Each call would allocate gigabytes; it is refused before any model is built.
+    proc = run_in_subprocess(argv, tmp_path / "unused.json", preexec_fn=limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
     "argv", [["splitting", "{m}"], ["verify", "--model", "{m}"]], ids=["splitting", "verify"]
 )
 def test_order_above_cap_is_input_error(tmp_path, argv):

@@ -11,6 +11,7 @@ from conftest import (
     orbit_sizes,
     random_generating_set,
 )
+from curveindex import constructions
 from curveindex.action import validate
 from curveindex.cli import main
 from curveindex.constructions import (
@@ -23,6 +24,7 @@ from curveindex.constructions import (
     cycle_model,
     ladder_model,
     mobius_ladder,
+    vertex_count,
 )
 from curveindex.multigraph import (
     arithmetic_genus,
@@ -266,6 +268,26 @@ def test_construct_rejects_inadmissible_pair():
         construct(-1, 1)
     with pytest.raises(ValueError):
         construct(2, 0)
+
+
+def test_vertex_count_is_the_built_models_count():
+    cells = [*admissible_cells(12, genus_one_cap=40), (1001, 1), (1001, 50), (1001, 2000)]
+    for g, i in cells:
+        assert vertex_count(g, i) == len(construct(g, i).graph.vertices), (g, i)
+
+
+def test_construct_refuses_a_model_past_its_limit_before_building_it(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_VERTICES", 12)
+    assert len(construct(3, 1).graph.vertices) == 12
+    assert len(construct(1, 12).graph.vertices) == 12
+    assert len(construct(7, 3).graph.vertices) == 12
+    built = []
+    for name in ("coathanger_chain", "cycle_model", "mobius_ladder"):
+        monkeypatch.setattr(constructions, name, lambda *args, name=name: built.append(name))
+    for g, i, n in [(4, 1, 16), (1, 13, 13), (8, 7, 14), (8, 2, 14)]:
+        with pytest.raises(ValueError, match=f"^the model would have {n} vertices; the limit is 12$"):
+            construct(g, i)
+    assert built == []
 
 
 def test_construct_grid_properties():

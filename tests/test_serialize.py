@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -177,12 +178,43 @@ def load_model_from_text(text):
     return model_from_obj(json.loads(text))
 
 
-def test_dumps_matches_the_stdlib_encoder(model_pool):
+def test_dumps_matches_the_stdlib_encoder(model_pool, tmp_path):
     rng = random.Random(12)
     circulants = [circulant_model(order, k, rng) for order, k in [(12, 1), (18, 3), (24, 4), (30, 5), (60, 6)]]
     constructed = [construct(g, i) for g, i in admissible_cells(12)]
+    path = tmp_path / "m.json"
     for m in [*model_pool, *constructed, *circulants, *handcrafted_models(), weighted_model()]:
-        assert dumps_model(m) == naive_dumps_model(m)
+        text = dumps_model(m)
+        assert text == naive_dumps_model(m)
+        save_model(m, path)
+        assert path.read_bytes() == text.encode()
+
+
+def traced_peak(call):
+    """The most memory ``call()`` held at once, above what was held before it, as ``tracemalloc`` counts it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_writes_section_by_section(tmp_path):
+    # The whole file is never one string: about 1.7x the file at (1001, 1), where joining it all took about 4.1x.
+    m, path = construct(1001, 1), tmp_path / "m.json"
+    save_model(m, path)
+    assert traced_peak(lambda: save_model(m, path)) < 2.5 * path.stat().st_size
+
+
+def test_load_model_drops_the_text_once_decoded(tmp_path):
+    # Building and validating the model adds less than the file's length to the peak of decoding
+    # it: about 0.4 MB on the 1.16 MB (1001, 1) file, and about 1.6 MB while the text stayed alive.
+    path = tmp_path / "m.json"
+    save_model(construct(1001, 1), path)
+    load_model(path)
+    decoding = traced_peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+    assert traced_peak(lambda: load_model(path)) - decoding < path.stat().st_size
 
 
 def test_dumps_matches_the_stdlib_encoder_on_edge_cases():

@@ -170,6 +170,19 @@ def test_run_verification_rejects_negative_genus_one_cap():
     assert report.passed and [c.genus for c in report.cells] == [0, 0, 2, 2]
 
 
+def test_the_sweep_refuses_more_vertices_than_its_limit_before_building_anything(monkeypatch):
+    report = run_verification(genus_max=4, e_max=2, genus_one_cap=5)
+    total = sum(c.vertices for c in report.cells)
+    monkeypatch.setattr(verify, "MAX_SWEEP", total)
+    assert run_verification(genus_max=4, e_max=2, genus_one_cap=5) == report
+    monkeypatch.setattr(verify, "MAX_SWEEP", total - 1)
+    built = [count_calls(monkeypatch, verify, name) for name in ("construct", "mobius_ladder", "ladder_model")]
+    for genus_max, genus_one_cap in [(4, 5), (10**9, 5), (2, 10**9)]:
+        with pytest.raises(ValueError, match=f"^the sweep's models would have more vertices in all than the limit, {total - 1}$"):
+            run_verification(genus_max=genus_max, e_max=2, genus_one_cap=genus_one_cap)
+    assert built == [[], [], []]
+
+
 def test_the_sweep_builds_each_ladder_once_and_matches_the_direct_path(monkeypatch):
     ladders = count_calls(monkeypatch, constructions, "mobius_ladder")
     report = run_verification(12, 4, (2, math.inf))
