@@ -13,11 +13,11 @@ vertices and stabilized edges are read.  The module also validates actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 from operator import eq, ne
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .multigraph import MultiGraph
 
@@ -68,14 +68,14 @@ def map_power(mapping: dict[str, str], k: int) -> dict[str, str]:
     return {x: image[x] for x in mapping}
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(namedtuple("CyclicAction", "order vertex_map edge_map")):
     """Generator images of a cyclic group acting by graph automorphisms.
 
     ``order`` is the order of the acting group, not necessarily the exact
     order of the generator permutation (the action may be non-faithful, as
     with a trivial action declared at order 1).  The maps must not change
-    after construction: their cycle lengths are cached.
+    after construction: their cycle lengths are cached (in the instance's
+    ``__dict__``, which is why the named tuple has no ``__slots__``).
     """
 
     order: int
@@ -97,15 +97,13 @@ class CyclicAction:
         return math.lcm(*self.vertex_orbit.values(), *self.edge_orbit.values())
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     law: str
     subject: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

@@ -21,61 +21,62 @@ one genus calls with a single ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 from .action import CyclicAction, ValidationReport, map_power, validate
 from .multigraph import MultiGraph, is_connected
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(namedtuple("GeneratingSet", "order elements")):
     """A symmetric generating set of nonzero residues mod ``order``.
 
     Elements are reduced mod ``order`` on construction; the set must avoid 0,
     be closed under negation, and generate the full cyclic group.
     """
 
-    order: int
-    elements: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"group order must be positive, got {self.order}")
-        reduced = frozenset(s % self.order for s in self.elements)
-        object.__setattr__(self, "elements", reduced)
+    def __new__(cls, order: int, elements: frozenset[int]) -> "GeneratingSet":
+        if order < 1:
+            raise ValueError(f"group order must be positive, got {order}")
+        reduced = frozenset(s % order for s in elements)
         if 0 in reduced:
             raise ValueError("generating set must not contain 0")
-        if any((-s) % self.order not in reduced for s in reduced):
+        if any((-s) % order not in reduced for s in reduced):
             raise ValueError("generating set must be closed under negation")
-        if math.gcd(self.order, *reduced) != 1:
-            raise ValueError(f"elements {sorted(reduced)} do not generate Z/{self.order}")
+        if math.gcd(order, *reduced) != 1:
+            raise ValueError(f"elements {sorted(reduced)} do not generate Z/{order}")
+        return super().__new__(cls, order, reduced)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", "ns_index multiplicity")):
     """Arithmetic data attached to one vertex (one component of the fiber)."""
 
-    ns_index: int = 1
-    multiplicity: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ns_index < 1 or self.multiplicity < 1:
+    def __new__(cls, ns_index: int = 1, multiplicity: int = 1) -> "Component":
+        if ns_index < 1 or multiplicity < 1:
             raise ValueError("ns_index and multiplicity must be positive")
+        return super().__new__(cls, ns_index, multiplicity)
 
 
-UNIT = Component()  # ns_index = multiplicity = 1; one instance serves every vertex, Component being frozen
+UNIT = Component()  # ns_index = multiplicity = 1; one instance serves every vertex, Component being immutable
 
 
-@dataclass(frozen=True)
-class CurveModel:
-    """A connected multigraph with a cyclic action and per-component data."""
+class CurveModel(namedtuple("CurveModel", "graph action components claimed")):
+    """A connected multigraph with a cyclic action and per-component data.
 
-    graph: MultiGraph
-    action: CyclicAction
-    components: dict[str, Component] = field(default_factory=dict)
-    claimed: tuple[int, int] | None = None  # (genus, index) the model is built to have
+    ``components`` defaults to a fresh empty dict per model; ``claimed`` is
+    the (genus, index) the model is built to have, if any.  No ``__slots__``:
+    the cached validation report lives in the instance's ``__dict__``.
+    """
+
+    def __new__(cls, graph: MultiGraph, action: CyclicAction, components: dict[str, Component] | None = None,
+                claimed: tuple[int, int] | None = None) -> "CurveModel":
+        return super().__new__(cls, graph, action, {} if components is None else components, claimed)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -238,15 +239,13 @@ def ladder_model(ladder: tuple[MultiGraph, CyclicAction], index: int) -> CurveMo
     return as_model(graph, action, claimed=(full.order // 2 + 1, index))
 
 
-@dataclass(frozen=True)
-class RealizabilityCheck:
+class RealizabilityCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(NamedTuple):
     checks: tuple[RealizabilityCheck, ...]
 
     @property

@@ -19,10 +19,11 @@ is gcd bookkeeping over the divisor lattice of the acting order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter, mul
+from typing import NamedTuple
 
 from .action import ActionError, CyclicAction
 from .constructions import UNIT, CurveModel
@@ -35,22 +36,20 @@ class Case(Enum):
     CASE2 = "Case2"  # some subgroup stabilizes an edge without fixing a vertex
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(namedtuple("ExtensionSpec", "d e")):
     """An extension abstracted to (residue co-degree d, ramification index e)."""
 
-    d: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.e < 1:
-            raise ValueError(f"ramification index must be positive, got {self.e}")
+    def __new__(cls, d: int, e: int) -> "ExtensionSpec":
+        if d < 1:
+            raise ValueError(f"d must be positive, got {d}")
+        if e < 1:
+            raise ValueError(f"ramification index must be positive, got {e}")
+        return super().__new__(cls, d, e)
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     """The classifier's verdicts on one model, all read off one table.
 
     ``m_invariant`` is the least degree of a splitting field, assuming a

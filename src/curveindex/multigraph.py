@@ -11,8 +11,7 @@ after construction and may be shared freely.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -37,14 +36,14 @@ class Edge(NamedTuple):
         return frozenset((self.tail, self.head))
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    """Vertices and edges; derived data (vertex set, edges by id, degrees, connectivity) is cached on first use."""
+class MultiGraph(namedtuple("MultiGraph", "vertices edges")):
+    """Vertices and edges; derived data (vertex set, edges by id, degrees, connectivity) is cached on first use.
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    A named tuple without ``__slots__``, so the cached data has a ``__dict__``
+    to live in; ``__init__`` checks the fields once they are set.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
         if not self.vertices:
             raise GraphError("a multigraph needs at least one vertex")
         vs = self.vertex_set

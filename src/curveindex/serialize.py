@@ -11,7 +11,8 @@ Every section is read and written here, the graph section included::
     }
 
 ``components`` entries default to 1/1 when omitted; ``claimed`` is optional;
-``action.order`` is at most :data:`MAX_ORDER`.
+``action.order`` is at most :data:`MAX_ORDER`, and a file at most
+:data:`MAX_FILE_BYTES` bytes long.
 
 Writing: a model file is ``json.dumps(model_to_obj(m), indent=2,
 sort_keys=True)`` plus a newline (keys sorted, two-space indent, ASCII-only
@@ -38,6 +39,7 @@ laws are read off the built model's cached report
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
@@ -56,6 +58,10 @@ class ModelFormatError(ValueError):
 # Largest accepted acting order.  Listing the divisors of I, which the
 # splitting table and the oracle need, takes about sqrt(I) steps.
 MAX_ORDER = 10**12
+
+# Largest model file read, in bytes: more than twice the largest file
+# ``construct`` writes (32.7 MB, at (50001, 2), with MAX_VERTICES vertices).
+MAX_FILE_BYTES = 10**8
 
 
 def _is_int(x: object) -> bool:
@@ -275,16 +281,26 @@ def save_model(m: CurveModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CurveModel:
     """The model in the file at ``path``; :class:`ModelFormatError` names the path and what is wrong.
 
-    The file's text is dropped as soon as ``json`` has decoded it, so only
-    the decoded document is alive while :func:`model_from_obj` builds and
-    validates the model.
+    At most :data:`MAX_FILE_BYTES` bytes are read, and a longer file, or one
+    that is not UTF-8, is refused.  The file's text is dropped as soon as
+    ``json`` has decoded it, so only the decoded document is alive while
+    :func:`model_from_obj` builds and validates the model.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # read(n) reserves n bytes at once, so a regular file is read at its size,
+        # and a pipe or a device, whose size reads 0, up to the limit.
+        with open(path, "rb") as file:
+            data = file.read(min(os.fstat(file.fileno()).st_size or MAX_FILE_BYTES, MAX_FILE_BYTES) + 1)
     except OSError as err:
         raise ModelFormatError(f"{path}: cannot read: {err}") from None
+    if len(data) > MAX_FILE_BYTES:
+        raise ModelFormatError(f"{path}: larger than {MAX_FILE_BYTES} bytes")
     try:
+        text = data.decode("utf-8")
+        del data
         obj = json.loads(text)
+    except UnicodeDecodeError as err:
+        raise ModelFormatError(f"{path}: not UTF-8: {err}") from None
     except (ValueError, RecursionError) as err:
         # Beside JSONDecodeError: an integer of more digits than int() accepts
         # (ValueError) and nesting deeper than the interpreter's stack (RecursionError).

@@ -33,8 +33,8 @@ genus-24 sweep.  :func:`report_to_obj` stays as the exported form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .blowup import oracle_table
 from .constructions import CurveModel, check_realizability, construct, ladder_model, mobius_ladder, vertex_count
@@ -62,8 +62,7 @@ def admissible_orders(genus: int, genus_one_cap: int) -> list[int]:
     return divisors(abs(2 * genus - 2))
 
 
-@dataclass(frozen=True, kw_only=True)
-class CellReport:
+class CellReport(NamedTuple):
     """One cell's checks; the fields, in order, are the keys of its ``--json`` object."""
 
     genus: int | None  # claimed genus, if any
@@ -71,28 +70,27 @@ class CellReport:
     vertices: int
     edges: int
     euler: int
-    genus_computed: int | None = None  # None when disconnected
+    genus_computed: int | None  # None when disconnected
     max_degree: int
     action_valid: bool
     connected: bool
-    index: int | None = None
-    case: Case | None = None
-    classifier_table: dict[tuple[int, int], bool] = field(default_factory=dict)
-    oracle_table: dict[tuple[int, int], bool] = field(default_factory=dict)
-    index_ok: bool | None = None  # None: nothing claimed to compare against
-    case_ok: bool | None = None
-    prediction_ok: bool | None = None
-    oracle_ok: bool = False
-    realizability: dict[int | float, bool] = field(default_factory=dict)
-    failures: tuple[str, ...] = ()
+    index: int | None
+    case: Case | None
+    classifier_table: dict[tuple[int, int], bool]
+    oracle_table: dict[tuple[int, int], bool]
+    index_ok: bool | None  # None: nothing claimed to compare against
+    case_ok: bool | None
+    prediction_ok: bool | None
+    oracle_ok: bool
+    realizability: dict[int | float, bool]
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     cells: tuple[CellReport, ...]
     e_max: int
     residue_cardinalities: tuple[int | float, ...]
@@ -119,8 +117,9 @@ def check_model(
     if not (report.ok and connected):
         violations = [f"action invalid: {v.law}[{v.subject}] {v.detail}" for v in report.violations[:8]]
         return CellReport(
-            **shape, action_valid=report.ok, connected=connected,
-            failures=tuple(violations or ["graph is not connected"]),
+            **shape, genus_computed=None, action_valid=report.ok, connected=connected, index=None, case=None,
+            classifier_table={}, oracle_table={}, index_ok=None, case_ok=None, prediction_ok=None, oracle_ok=False,
+            realizability={}, failures=tuple(violations or ["graph is not connected"]),
         )
 
     failures: list[str] = []
@@ -266,7 +265,7 @@ def _q_obj(q: int | float) -> int | str:
 def report_to_obj(r: VerificationReport) -> dict:
     cells = []
     for c in r.cells:
-        cell = {f.name: getattr(c, f.name) for f in fields(c)}
+        cell = c._asdict()
         cell.update(
             case=c.case.value if c.case else None,
             classifier_table=table_obj(c.classifier_table),
@@ -300,7 +299,7 @@ def dumps_report(r: VerificationReport) -> str:
 
     The layout is fixed, so it is written straight from the cells: each
     container is one list of entry strings, joined once, cell keys in
-    ``fields(CellReport)`` order and then ``passed``, strings quoted by
+    ``CellReport._fields`` order and then ``passed``, strings quoted by
     ``json``'s own C string encoder and integers by ``int.__repr__``.  Table
     rows are almost all of the output and repeat from cell to cell, so each
     distinct ``(d, e, splits)`` row is laid out once per call.
@@ -327,7 +326,7 @@ def dumps_report(r: VerificationReport) -> str:
         ),
         "failures": lambda x: _container([f"        {_scalar(s)}" for s in x], "[]", "      "),
     }
-    layout = [(f"      {_scalar(f.name)}: ", f.name, writers.get(f.name, _scalar)) for f in fields(CellReport)]
+    layout = [(f"      {_scalar(name)}: ", name, writers.get(name, _scalar)) for name in CellReport._fields]
     cells = [
         "    " + _container(
             [key + write(getattr(c, name)) for key, name, write in layout]

@@ -16,7 +16,7 @@ from curveindex.cli import COMMANDS, main
 from curveindex.constructions import CurveModel, as_model, construct
 from curveindex.invariants import divisors
 from curveindex.multigraph import MultiGraph, euler_characteristic
-from curveindex.serialize import load_model, save_model
+from curveindex.serialize import MAX_FILE_BYTES, load_model, save_model
 
 
 def run(capsys, *argv):
@@ -426,6 +426,25 @@ def test_sizes_past_the_limit_are_input_error(tmp_path, argv, message):
     proc = run_in_subprocess(argv, tmp_path / "unused.json", preexec_fn=limit_address_space)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [["index", "{m}"], ["verify", "--model", "{m}"]], ids=["index", "verify"])
+def test_a_file_that_is_not_utf8_is_input_error(tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"graph": "\xff"}')
+    proc = run_in_subprocess(argv, path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: {path}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    ]
+
+
+@pytest.mark.parametrize("argv", [["index", "{m}"], ["verify", "--model", "{m}"]], ids=["index", "verify"])
+def test_a_file_past_the_size_limit_is_input_error(argv):
+    # /dev/zero never ends: reading it whole ended in a MemoryError traceback under an address-space cap.
+    proc = run_in_subprocess(argv, Path("/dev/zero"), preexec_fn=limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: /dev/zero: larger than {MAX_FILE_BYTES} bytes"]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -65,8 +66,8 @@ def test_components_default_when_missing():
 
 def test_unit_components_are_shared(tmp_path, monkeypatch):
     built = []
-    post_init = Component.__post_init__
-    monkeypatch.setattr(Component, "__post_init__", lambda self: built.append(self) or post_init(self))
+    new = Component.__new__
+    monkeypatch.setattr(Component, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
     path = tmp_path / "model.json"
     save_model(construct(101, 200), path)
     assert all(entry == {"ns_index": 1, "multiplicity": 1} for entry in json.loads(path.read_text())["components"].values())
@@ -87,6 +88,20 @@ def test_connectivity_is_searched_once_per_graph(tmp_path, monkeypatch):
     assert len(searched) == 1 and searched[0] is m.graph
 
 
+def test_reads_at_most_the_limit_plus_one_byte(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(serialize, "MAX_FILE_BYTES", size)
+    assert load_model(path) == construct(4, 6)
+    monkeypatch.setattr(serialize, "MAX_FILE_BYTES", size - 1)
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path}: larger than {size - 1} bytes")):
+        load_model(path)
+    # a device reports no size, and never ends
+    with pytest.raises(ModelFormatError, match=re.escape(f"/dev/zero: larger than {size - 1} bytes")):
+        load_model("/dev/zero")
+
+
 def test_claimed_is_optional():
     obj = model_to_obj(construct(1, 3))
     del obj["claimed"]
@@ -99,6 +114,10 @@ def test_rejects_unreadable_and_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(bad)
+    bad.write_bytes('{"graph": "é"}'.encode("latin-1"))
+    reason = "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"
+    with pytest.raises(ModelFormatError, match=re.escape(f"{bad}: not UTF-8: {reason}")):
         load_model(bad)
     for text in ("[]", "3", '"x"', "null"):
         bad.write_text(text, encoding="utf-8")
