@@ -12,7 +12,8 @@ Every section is read and written here, the graph section included::
 
 ``components`` entries default to 1/1 when omitted; ``claimed`` is optional;
 ``action.order`` is at most :data:`MAX_ORDER`, and a file at most
-:data:`MAX_FILE_BYTES` bytes long.
+:data:`MAX_FILE_BYTES` bytes long, with at most :data:`MAX_DECODE_ITEMS` of
+``{``, ``[`` and ``,`` in all.
 
 Writing: a model file is ``json.dumps(model_to_obj(m), indent=2,
 sort_keys=True)`` plus a newline (keys sorted, two-space indent, ASCII-only
@@ -62,6 +63,14 @@ MAX_ORDER = 10**12
 # Largest model file read, in bytes: more than twice the largest file
 # ``construct`` writes (32.7 MB, at (50001, 2), with MAX_VERTICES vertices).
 MAX_FILE_BYTES = 10**8
+
+# Most of ``{``, ``[`` and ``,`` a model file may hold, counted before it is
+# decoded.  Each array entry and each object member is the first in its
+# container or follows a comma, so the count bounds the values and keys
+# ``json`` builds: at most about 124 bytes each (Python 3.11, x86-64), besides
+# the characters of the strings.  The largest file ``construct`` writes, at
+# (50001, 2), holds 1,500,011.  A file no longer than this holds no more.
+MAX_DECODE_ITEMS = 2 * 10**6
 
 
 def _is_int(x: object) -> bool:
@@ -281,8 +290,10 @@ def save_model(m: CurveModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CurveModel:
     """The model in the file at ``path``; :class:`ModelFormatError` names the path and what is wrong.
 
-    At most :data:`MAX_FILE_BYTES` bytes are read, and a longer file, or one
-    that is not UTF-8, is refused.  The file's text is dropped as soon as
+    At most :data:`MAX_FILE_BYTES` bytes are read, and a longer file, one
+    that holds more than :data:`MAX_DECODE_ITEMS` of ``{``, ``[`` and ``,``
+    (counted before anything is decoded), or one that is not UTF-8, is
+    refused.  The file's text is dropped as soon as
     ``json`` has decoded it, so only the decoded document is alive while
     :func:`model_from_obj` builds and validates the model.
     """
@@ -295,6 +306,8 @@ def load_model(path: str | Path) -> CurveModel:
         raise ModelFormatError(f"{path}: cannot read: {err}") from None
     if len(data) > MAX_FILE_BYTES:
         raise ModelFormatError(f"{path}: larger than {MAX_FILE_BYTES} bytes")
+    if len(data) > MAX_DECODE_ITEMS and sum(map(data.count, (b"{", b"[", b","))) > MAX_DECODE_ITEMS:
+        raise ModelFormatError(f"{path}: more than {MAX_DECODE_ITEMS} of '{{', '[' and ',' in all")
     try:
         text = data.decode("utf-8")
         del data

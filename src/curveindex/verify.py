@@ -1,27 +1,31 @@
 """Exhaustive verification of the splitting classification.
 
 For every admissible (genus, index) cell the harness builds the model and
-checks, with zero tolerance:
+checks it with zero tolerance.  A model whose action fails validation, or
+whose graph is not connected, is reported with those failures alone.  Every
+other model goes through its shape checks and then each law, and its failure
+lines come in this order:
 
-* structure: connected, maximum degree 3, arithmetic genus as claimed,
-  action passing validation with exact order ``I``;
-* index: the gcd formula returns exactly ``I``;
-* classification: the computed case matches the parity rule (Case 1 iff
-  ``I`` odd or genus 1) and the splitting table over all ``d | I``,
-  ``e in {1, 2}`` equals the closed-form prediction;
-* oracle: the classifier agrees with the blowup oracle for every ``d | I``
-  and every ramification index up to ``e_max``, and the index divides
-  ``d * e`` wherever the oracle splits;
-* realizability: the graph passes the residue-field checks for each
-  configured cardinality (the weak check when ``I = 1``, where the full
-  one is knowingly too strong over the 2-element field).
+* shape: maximum degree 3, and the arithmetic genus as claimed;
+* the claim laws, when the model claims ``(g, I)`` (:func:`_claim_laws`):
+  index (the claimed index is the acting order, the gcd formula returns it,
+  and the action's exact order is the declared one), then case (Case 1 iff
+  ``I`` odd or genus 1), then prediction (the splitting table over all
+  ``d | I``, ``e in {1, 2}`` equals the closed-form prediction);
+* the oracle law (:func:`_oracle_law`): the classifier agrees with the blowup
+  oracle for every ``d | I`` and every ramification index up to ``e_max``,
+  and the index divides ``d * e`` wherever the oracle splits, one ``(d, e)``
+  at a time;
+* the realizability law (:func:`_realizability_law`): the graph passes the
+  residue-field checks for each configured cardinality (the weak check when
+  ``I = 1``, where the full one is knowingly too strong over the 2-element
+  field).
 
 The grid builds each genus's Moebius ladder once and makes every ``I >= 2``
 cell of that genus from it (:func:`constructions.ladder_model`, the path
 ``construct`` takes too), so the graph's cached data is computed once per
 genus.  ``check_model`` applies the same battery to a single, possibly
-handcrafted, model; claimed-metadata comparisons are skipped when the model
-claims nothing.
+handcrafted, model; the claim laws are skipped when the model claims nothing.
 
 The ``--json`` report is ``json.dumps(report_to_obj(r), indent=2)`` plus a
 newline.  :func:`dumps_report` writes that layout straight from the cells,
@@ -33,12 +37,13 @@ genus-24 sweep.  :func:`report_to_obj` stays as the exported form.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .blowup import oracle_table
 from .constructions import CurveModel, check_realizability, construct, ladder_model, mobius_ladder, vertex_count
-from .invariants import Case, ExtensionSpec, divisors, main_theorem_prediction, splitting_report
+from .invariants import Case, ExtensionSpec, SplittingReport, divisors, main_theorem_prediction, splitting_report
 from .multigraph import euler_characteristic, is_connected
 from .serialize import _container
 
@@ -103,12 +108,11 @@ class VerificationReport(NamedTuple):
 def check_model(
     m: CurveModel, e_max: int = 6, residue_cardinalities: tuple[int | float, ...] = (math.inf,)
 ) -> CellReport:
-    """Run one cell's worth of checks against a model."""
-    order = m.action.order
-    claimed_genus, claimed_index = m.claimed or (None, None)
+    """Run one cell's worth of checks against a model: its shape, then each law, in the order of the lines."""
+    claimed_genus = m.claimed[0] if m.claimed else None
     max_degree = max(m.graph.degrees.values())
     shape = dict(
-        genus=claimed_genus, order=order, vertices=len(m.graph.vertices), edges=len(m.graph.edges),
+        genus=claimed_genus, order=m.action.order, vertices=len(m.graph.vertices), edges=len(m.graph.edges),
         euler=euler_characteristic(m.graph), max_degree=max_degree,
     )
 
@@ -122,69 +126,76 @@ def check_model(
             realizability={}, failures=tuple(violations or ["graph is not connected"]),
         )
 
-    failures: list[str] = []
-    if max_degree > 3:
-        failures.append(f"maximum degree {max_degree} exceeds 3")
+    failures = [f"maximum degree {max_degree} exceeds 3"] if max_degree > 3 else []
     genus_computed = 1 - shape["euler"]  # the arithmetic genus of a connected graph
     if claimed_genus is not None and genus_computed != claimed_genus:
         failures.append(f"genus: computed {genus_computed}, claimed {claimed_genus}")
+    classifier, oracle = splitting_report(m), oracle_table(m, e_max)
+    claim_lines, index_ok, case_ok, prediction_ok = _claim_laws(m, classifier)
+    oracle_lines, oracle_ok = _oracle_law(classifier, oracle)
+    realizability_lines, realizability = _realizability_law(m, residue_cardinalities)
+    return CellReport(
+        **shape, genus_computed=genus_computed, action_valid=True, connected=True, index=classifier.index,
+        case=classifier.case, classifier_table=classifier.table, oracle_table=oracle, index_ok=index_ok,
+        case_ok=case_ok, prediction_ok=prediction_ok, oracle_ok=oracle_ok, realizability=realizability,
+        failures=(*failures, *claim_lines, *oracle_lines, *realizability_lines),
+    )
 
-    classifier = splitting_report(m)
-    oracle = oracle_table(m, e_max)
 
-    index_ok = case_ok = prediction_ok = None
-    if claimed_index is not None:
-        index_ok = classifier.index == claimed_index == order and m.action.exact_order == order
-        if claimed_index != order:
-            failures.append(f"claimed index {claimed_index} differs from acting order {order}")
-        if classifier.index != claimed_index:
-            failures.append(f"index: computed {classifier.index}, claimed {claimed_index}")
-        if m.action.exact_order != order:
-            failures.append(f"action order: exact {m.action.exact_order}, declared {order}")
-        want_case = expected_case(claimed_genus, order)
-        case_ok = classifier.case is want_case
-        if not case_ok:
-            failures.append(f"case: computed {classifier.case.value}, expected {want_case.value}")
-        prediction_ok = True
-        try:
-            for (d, e), got in sorted(classifier.table.items()):
-                want = main_theorem_prediction(claimed_genus, order, ExtensionSpec(d, e), want_case)
-                if got != want:
-                    prediction_ok = False
-                    failures.append(
-                        f"prediction mismatch at (d={d}, e={e}): classifier={got}, predicted={want}"
-                    )
-        except ValueError as err:  # the claim admits no prediction, e.g. I does not divide 2g - 2
-            prediction_ok = False
-            failures.append(f"prediction: {err}")
+# Each law returns its failure lines and what it reports; ``check_model``
+# joins the lines in the order the laws are listed in the module docstring.
 
-    oracle_ok = True
+def _claim_laws(m: CurveModel, classifier: SplittingReport) -> tuple[list[str], bool | None, bool | None, bool | None]:
+    """The index, case and prediction lines, then ``index_ok``, ``case_ok`` and ``prediction_ok``.
+
+    A model that claims nothing has no lines, and None for each value.
+    """
+    if m.claimed is None:
+        return [], None, None, None
+    genus, claimed_index = m.claimed
+    order, exact = m.action.order, m.action.exact_order
+    index_lines = [line for broken, line in [
+        (claimed_index != order, f"claimed index {claimed_index} differs from acting order {order}"),
+        (classifier.index != claimed_index, f"index: computed {classifier.index}, claimed {claimed_index}"),
+        (exact != order, f"action order: exact {exact}, declared {order}"),
+    ] if broken]
+    case, want_case = classifier.case, expected_case(genus, order)
+    case_lines = [] if case is want_case else [f"case: computed {case.value}, expected {want_case.value}"]
+    table = sorted(classifier.table.items())
+    try:
+        predicted = [main_theorem_prediction(genus, order, ExtensionSpec(d, e), want_case) for (d, e), _ in table]
+        prediction_lines = [
+            f"prediction mismatch at (d={d}, e={e}): classifier={got}, predicted={want}"
+            for ((d, e), got), want in zip(table, predicted) if got != want
+        ]
+    except ValueError as err:  # the claim admits no prediction, e.g. I does not divide 2g - 2
+        prediction_lines = [f"prediction: {err}"]
+    return [*index_lines, *case_lines, *prediction_lines], not index_lines, not case_lines, not prediction_lines
+
+
+def _oracle_law(classifier: SplittingReport, oracle: dict[tuple[int, int], bool]) -> tuple[list[str], bool]:
+    """The oracle-mismatch and index-law lines, interleaved per ``(d, e)``, and ``oracle_ok``."""
+    lines, oracle_ok = [], True
+    table, index = classifier.table, classifier.index
     for (d, e), want in oracle.items():
-        got = classifier.table[(d, 2 - e % 2)]  # the classifier reads only the parity of e
+        got = table[(d, 2 - e % 2)]  # the classifier reads only the parity of e
         if got != want:
             oracle_ok = False
-            failures.append(f"oracle mismatch at (d={d}, e={e}): classifier={got}, oracle={want}")
-        if want and d * e % classifier.index:  # the oracle found a point of degree d*e
-            failures.append(
-                f"index law at (d={d}, e={e}): oracle splits, but index {classifier.index} does not divide {d * e}"
-            )
+            lines.append(f"oracle mismatch at (d={d}, e={e}): classifier={got}, oracle={want}")
+        if want and d * e % index:  # the oracle found a point of degree d*e
+            lines.append(f"index law at (d={d}, e={e}): oracle splits, but index {index} does not divide {d * e}")
+    return lines, oracle_ok
 
-    realizability: dict[int | float, bool] = {}
-    for q in residue_cardinalities:
-        mode = "full" if order > 1 else "weak"
-        real = check_realizability(m, q, mode)
-        realizability[q] = real.passed
-        if not real.passed:
-            bad = ", ".join(f"{c.name}: {c.detail}" for c in real.checks if not c.passed)
-            failures.append(f"realizability(q={q}, {mode}) failed: {bad}")
 
-    return CellReport(
-        **shape, genus_computed=genus_computed, action_valid=True, connected=True,
-        index=classifier.index, case=classifier.case, classifier_table=classifier.table, oracle_table=oracle,
-        index_ok=index_ok, case_ok=case_ok, prediction_ok=prediction_ok,
-        oracle_ok=oracle_ok, realizability=realizability,
-        failures=tuple(failures),
-    )
+def _realizability_law(m: CurveModel, qs: tuple[int | float, ...]) -> tuple[list[str], dict[int | float, bool]]:
+    """One line per residue cardinality whose realizability check fails, and each cardinality's verdict."""
+    mode = "full" if m.action.order > 1 else "weak"
+    reports = [(q, check_realizability(m, q, mode)) for q in qs]
+    lines = [
+        f"realizability(q={q}, {mode}) failed: " + ", ".join(f"{c.name}: {c.detail}" for c in r.checks if not c.passed)
+        for q, r in reports if not r.passed
+    ]
+    return lines, {q: r.passed for q, r in reports}
 
 
 def run_verification(
@@ -196,7 +207,9 @@ def run_verification(
     """Check every admissible cell with genus up to ``genus_max``.
 
     A sweep whose models would have more than :data:`MAX_SWEEP` vertices in
-    all is refused before any model is built.
+    all is refused before any model is built.  Their sizes are summed in
+    sweep order only until the sum passes the limit, and the genus-one orders
+    are counted off a ``range``, so a large cap is refused without listing them.
     """
     if genus_max < 0:
         raise ValueError(f"genus_max must be non-negative, got {genus_max}")
@@ -204,7 +217,11 @@ def run_verification(
         genus_one_cap = 2 * genus_max + 2
     elif genus_one_cap < 0:
         raise ValueError(f"genus_one_cap must be non-negative, got {genus_one_cap}")
-    if _sweep_vertices(genus_max, genus_one_cap) > MAX_SWEEP:
+    sizes = (
+        vertex_count(genus, order) for genus in range(genus_max + 1)
+        for order in (range(1, genus_one_cap + 1) if genus == 1 else admissible_orders(genus, genus_one_cap))
+    )
+    if any(total > MAX_SWEEP for total in accumulate(sizes)):
         raise ValueError(f"the sweep's models would have more vertices in all than the limit, {MAX_SWEEP}")
     cells = []
     for genus in range(genus_max + 1):
@@ -213,22 +230,6 @@ def run_verification(
             model = ladder_model(ladder, order) if ladder and order > 1 else construct(genus, order)
             cells.append(check_model(model, e_max, residue_cardinalities))
     return VerificationReport(tuple(cells), e_max, tuple(residue_cardinalities))
-
-
-def _sweep_vertices(genus_max: int, genus_one_cap: int) -> int:
-    """The vertices of the sweep's models, summed in sweep order until the sum passes :data:`MAX_SWEEP`.
-
-    The genus-one orders are counted off a ``range``, so a large cap is
-    refused without listing its orders.
-    """
-    total = 0
-    for genus in range(genus_max + 1):
-        orders = range(1, genus_one_cap + 1) if genus == 1 else admissible_orders(genus, genus_one_cap)
-        for order in orders:
-            total += vertex_count(genus, order)
-            if total > MAX_SWEEP:
-                return total
-    return total
 
 
 def render_cell(c: CellReport) -> str:
@@ -244,9 +245,7 @@ def render_cell(c: CellReport) -> str:
 
 def render_report(r: VerificationReport) -> str:
     lines = [render_cell(c) for c in r.cells]
-    for c in r.cells:
-        for f in c.failures:
-            lines.append(f"  !! g={c.genus} I={c.order}: {f}")
+    lines += [f"  !! g={c.genus} I={c.order}: {f}" for c in r.cells for f in c.failures]
     good = sum(1 for c in r.cells if c.passed)
     lines.append(f"{good}/{len(r.cells)} cells verified" + ("" if r.passed else ", FAILURES above"))
     return "\n".join(lines) + "\n"

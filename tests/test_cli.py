@@ -16,7 +16,7 @@ from curveindex.cli import COMMANDS, main
 from curveindex.constructions import CurveModel, as_model, construct
 from curveindex.invariants import divisors
 from curveindex.multigraph import MultiGraph, euler_characteristic
-from curveindex.serialize import MAX_FILE_BYTES, load_model, save_model
+from curveindex.serialize import MAX_DECODE_ITEMS, MAX_FILE_BYTES, load_model, save_model
 
 
 def run(capsys, *argv):
@@ -388,6 +388,25 @@ def test_json_beyond_the_decoders_limits_is_input_error(tmp_path, argv, text):
 def limit_address_space():
     """Cap the child's address space at 1 GB, so that a call that does allocate fails at once."""
     resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize("argv", [["index", "{m}"], ["verify", "--model", "{m}"]], ids=["index", "verify"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" + "{}," * (MAX_DECODE_ITEMS // 2) + "0]",
+        "[" + '"ab",' * MAX_DECODE_ITEMS + '"ab"]',
+    ],
+    ids=["empty-objects", "short-strings"],
+)
+def test_a_file_past_the_decode_budget_is_input_error(tmp_path, argv, text):
+    # One more '{', '[' or ',' than the budget, each file far below MAX_FILE_BYTES; refused before decoding.
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    assert sum(map(text.count, "{[,")) == MAX_DECODE_ITEMS + 1
+    proc = run_in_subprocess(argv, path, preexec_fn=limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {path}: more than {MAX_DECODE_ITEMS} of '{{', '[' and ',' in all"]
 
 
 @pytest.mark.parametrize(

@@ -20,10 +20,21 @@ from conftest import (
 from curveindex import serialize
 from curveindex.action import CyclicAction
 from curveindex.cli import main
-from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model, mobius_ladder
+from curveindex.constructions import (
+    MAX_VERTICES,
+    UNIT,
+    Component,
+    CurveModel,
+    as_model,
+    construct,
+    cycle_model,
+    mobius_ladder,
+    vertex_count,
+)
 from curveindex.invariants import index, splitting_report
 from curveindex.multigraph import Edge, GraphError, MultiGraph
 from curveindex.serialize import (
+    MAX_DECODE_ITEMS,
     MAX_ORDER,
     ModelFormatError,
     dumps_model,
@@ -100,6 +111,32 @@ def test_reads_at_most_the_limit_plus_one_byte(tmp_path, monkeypatch):
     # a device reports no size, and never ends
     with pytest.raises(ModelFormatError, match=re.escape(f"/dev/zero: larger than {size - 1} bytes")):
         load_model("/dev/zero")
+
+
+def brackets_and_commas(data: bytes) -> int:
+    return sum(map(data.count, (b"{", b"[", b",")))
+
+
+def test_counts_brackets_and_commas_before_decoding(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    count = brackets_and_commas(path.read_bytes())
+    monkeypatch.setattr(serialize, "MAX_DECODE_ITEMS", count)
+    assert load_model(path) == construct(4, 6)
+    monkeypatch.setattr(serialize, "MAX_DECODE_ITEMS", count - 1)
+    decoded, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: decoded.append(a) or loads(*a, **k))
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path}: more than {count - 1} of '{{', '[' and ',' in all")):
+        load_model(path)
+    assert decoded == []
+
+
+def test_every_file_construct_writes_fits_the_decode_budget():
+    # A file holds at most 15 of '{', '[' and ',' per vertex, plus 11; the Moebius ladders reach that.
+    for g, i in admissible_cells(12) + [(1, 1000), (101, 200), (1001, 1)]:
+        assert brackets_and_commas(dumps_model(construct(g, i)).encode()) <= 15 * vertex_count(g, i) + 11
+    assert brackets_and_commas(dumps_model(construct(101, 200)).encode()) == 15 * 200 + 11
+    assert 15 * MAX_VERTICES + 11 < MAX_DECODE_ITEMS
 
 
 def test_claimed_is_optional():

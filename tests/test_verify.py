@@ -8,6 +8,7 @@ from conftest import admissible_cells, corrupted_two_cycle_model, single_edge_sw
 from curveindex import action, constructions, invariants, multigraph, verify
 from curveindex.cli import main
 from curveindex.constructions import Component, CurveModel, as_model, construct, cycle_model
+from curveindex.blowup import oracle_table
 from curveindex.invariants import Case, splitting_report
 from curveindex.multigraph import MultiGraph
 from curveindex.serialize import model_to_obj, save_model
@@ -133,6 +134,89 @@ def test_index_law_fails_a_model_that_contradicts_itself(tmp_path, capsys):
     assert [line for line in out.splitlines() if "index law" in line] == [
         f"  !! g=None I=1: index law at (d=1, e={e}): oracle splits, but index 2 does not divide {e}" for e in (1, 3)
     ]
+
+
+def identity_at_order_three():
+    graph, _ = cycle_model(3)
+    identity = action.CyclicAction(3, {v: v for v in graph.vertices}, {e.id: e.id for e in graph.edges})
+    return as_model(graph, identity, claimed=(1, 3))
+
+
+def claiming(m, claimed):
+    return CurveModel(m.graph, m.action, m.components, claimed)
+
+
+def ns_index_two_model():
+    """One vertex of ``ns_index`` 2 under the trivial action: the index reads 2, yet ``(1, 1)`` splits."""
+    return CurveModel(MultiGraph.build(["0"], []), action.CyclicAction(1, {"0": "0"}, {}), {"0": Component(ns_index=2)})
+
+
+@pytest.mark.parametrize(
+    "model, lines, index_ok, case_ok, prediction_ok",
+    [
+        (lambda: construct(4, 6), [], True, True, True),
+        (single_edge_swap_model, [], None, None, None),
+        (ns_index_two_model, [], None, None, None),
+        (lambda: claiming(construct(1, 6), (1, 3)),
+         ["claimed index 3 differs from acting order 6", "index: computed 6, claimed 3"], False, True, True),
+        (identity_at_order_three, [
+            "index: computed 1, claimed 3", "action order: exact 1, declared 3",
+            "prediction mismatch at (d=1, e=1): classifier=True, predicted=False",
+            "prediction mismatch at (d=1, e=2): classifier=True, predicted=False",
+        ], False, True, False),
+        (corrupted_two_cycle_model, [
+            "case: computed Case2, expected Case1",
+            "prediction mismatch at (d=1, e=2): classifier=True, predicted=False",
+        ], True, False, False),
+        (lambda: claiming(construct(1, 4), (4, 4)),
+         ["case: computed Case1, expected Case2", "prediction: order 4 does not divide 2*genus - 2 = 6"], True, False, False),
+    ],
+    ids=["passing", "no-claim", "ns-index-2", "claim-off-the-order", "identity-at-order-3", "corrupted-two-cycle",
+         "inadmissible-claim"],
+)
+def test_claim_laws(model, lines, index_ok, case_ok, prediction_ok):
+    m = model()
+    assert verify._claim_laws(m, splitting_report(m)) == (lines, index_ok, case_ok, prediction_ok)
+
+
+def test_oracle_law():
+    m = construct(4, 6)
+    table = oracle_table(m, 4)
+    assert verify._oracle_law(splitting_report(m), table) == ([], True)
+    assert verify._oracle_law(splitting_report(m), {**table, (6, 1): False}) == (
+        ["oracle mismatch at (d=6, e=1): classifier=True, oracle=False"], False
+    )
+    for model in (corrupted_two_cycle_model(), identity_at_order_three(), claiming(construct(1, 6), (1, 3))):
+        assert verify._oracle_law(splitting_report(model), oracle_table(model, 4)) == ([], True)
+    # the index law breaks at e = 1 and 3; a mismatch at e = 2 comes between their lines
+    m = ns_index_two_model()
+    table = oracle_table(m, 4)
+    assert verify._oracle_law(splitting_report(m), table) == ([
+        "index law at (d=1, e=1): oracle splits, but index 2 does not divide 1",
+        "index law at (d=1, e=3): oracle splits, but index 2 does not divide 3",
+    ], True)
+    assert verify._oracle_law(splitting_report(m), {**table, (1, 2): False}) == ([
+        "index law at (d=1, e=1): oracle splits, but index 2 does not divide 1",
+        "oracle mismatch at (d=1, e=2): classifier=True, oracle=False",
+        "index law at (d=1, e=3): oracle splits, but index 2 does not divide 3",
+    ], False)
+
+
+def test_realizability_law():
+    assert verify._realizability_law(construct(4, 6), (2, 3, math.inf)) == ([], {2: True, 3: True, math.inf: True})
+    assert verify._realizability_law(construct(4, 6), ()) == ([], {})
+    # degree 4: the weak check under the trivial action, the full one under a swap of parallel edges
+    graph = MultiGraph.build(["a", "b"], [(f"e{i}", "a", "b") for i in range(4)])
+    trivial = as_model(graph, action.CyclicAction(1, {"a": "a", "b": "b"}, {f"e{i}": f"e{i}" for i in range(4)}))
+    assert verify._realizability_law(trivial, (2, math.inf)) == ([
+        "realizability(q=2, weak) failed: degree-bound: vertices of degree > 3: ['a', 'b'], "
+        "point-supply: no fixed vertex of degree <= 2",
+        "realizability(q=inf, weak) failed: degree-bound: vertices of degree > 3: ['a', 'b']",
+    ], {2: False, math.inf: False})
+    swap = as_model(graph, action.CyclicAction(2, {"a": "a", "b": "b"}, {"e0": "e1", "e1": "e0", "e2": "e3", "e3": "e2"}))
+    lines, verdicts = verify._realizability_law(swap, (3, 3))
+    assert verdicts == {3: False} and len(lines) == 2  # a repeated cardinality is checked, and reported, twice
+    assert lines[0] == lines[1] and lines[0].startswith("realizability(q=3, full) failed: degree-bound: ")
 
 
 def test_check_model_reports_invalid_action():
