@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping, Set
 from functools import cached_property
 from itertools import compress
 from operator import eq, ne
-from typing import AbstractSet, Mapping, NamedTuple
 
 from .multigraph import MultiGraph
 
@@ -78,10 +78,6 @@ class CyclicAction(namedtuple("CyclicAction", "order vertex_map edge_map")):
     ``__dict__``, which is why the named tuple has no ``__slots__``).
     """
 
-    order: int
-    vertex_map: dict[str, str]
-    edge_map: dict[str, str]
-
     @cached_property
     def vertex_orbit(self) -> Mapping[str, int]:
         """Length of the generator's cycle through each vertex: its orbit size."""
@@ -97,21 +93,18 @@ class CyclicAction(namedtuple("CyclicAction", "order vertex_map edge_map")):
         return math.lcm(*self.vertex_orbit.values(), *self.edge_orbit.values())
 
 
-class Violation(NamedTuple):
-    law: str
-    subject: str
-    detail: str
+Violation = namedtuple("Violation", "law subject detail")
 
 
-class ValidationReport(NamedTuple):
-    violations: tuple[Violation, ...]
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _bijection_violations(mapping: dict[str, str], domain: AbstractSet[str], law: str) -> list[Violation]:
+def _bijection_violations(mapping: dict[str, str], domain: Set[str], law: str) -> list[Violation]:
     if mapping.keys() == domain == set(mapping.values()):
         return []
     out = []

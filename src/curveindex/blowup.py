@@ -35,6 +35,7 @@ from .invariants import ExtensionSpec, divisors
 
 # Most cells in a table, and chain positions summed over its depths, one oracle call builds.
 # At the limit a call takes about a second and at most about 150 MB (Python 3.11, x86-64).
+# ``curveindex oracle --emit-dot`` draws at most this many chain vertices too (about 6 s and 550 MB at the limit).
 MAX_WORK = 10**6
 
 

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 
 from . import multigraph
 from .action import cycles
-from .blowup import oracle_splits
+from .blowup import MAX_WORK, oracle_splits
 from .constructions import check_realizability, construct
 from .invariants import (
     Case,
@@ -144,14 +144,18 @@ def cmd_mtheorem(args) -> int:
 def cmd_oracle(args) -> int:
     model = load_model(args.model)
     verdict = oracle_splits(model, ExtensionSpec(args.d, args.e))
+    n_v, n_e = len(model.graph.vertices), len(model.graph.edges)
+    chain = (args.e - 1) * n_e  # the subdivision's chain vertices
     if args.emit_dot:
+        # a d that fixes a vertex lays out no chains in the oracle, so the drawing is bounded here
+        if chain > MAX_WORK:
+            raise ValueError(f"the drawing would hold {chain} chain vertices; the limit is {MAX_WORK}")
         graph = multigraph.subdivide(model.graph, args.e)
         _write(args.emit_dot, [multigraph.to_dot(graph, name="blowup")])
-    n_v, n_e = len(model.graph.vertices), len(model.graph.edges)
     summary = {
         "d": args.d,
         "e": args.e,
-        "vertices": n_v + (args.e - 1) * n_e,
+        "vertices": n_v + chain,
         "edges": args.e * n_e,
         "euler": n_v - n_e,
         "splits": verdict,

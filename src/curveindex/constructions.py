@@ -24,7 +24,6 @@ import math
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple
 
 from .action import CyclicAction, ValidationReport, map_power, validate
 from .multigraph import MultiGraph, is_connected
@@ -239,14 +238,11 @@ def ladder_model(ladder: tuple[MultiGraph, CyclicAction], index: int) -> CurveMo
     return as_model(graph, action, claimed=(full.order // 2 + 1, index))
 
 
-class RealizabilityCheck(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
+RealizabilityCheck = namedtuple("RealizabilityCheck", "name passed detail", defaults=("",))
 
 
-class RealizabilityReport(NamedTuple):
-    checks: tuple[RealizabilityCheck, ...]
+class RealizabilityReport(namedtuple("RealizabilityReport", "checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

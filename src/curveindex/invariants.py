@@ -23,7 +23,6 @@ from collections import namedtuple
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter, mul
-from typing import NamedTuple
 
 from .action import ActionError, CyclicAction
 from .constructions import UNIT, CurveModel
@@ -49,21 +48,19 @@ class ExtensionSpec(namedtuple("ExtensionSpec", "d e")):
         return super().__new__(cls, d, e)
 
 
-class SplittingReport(NamedTuple):
+class SplittingReport(namedtuple("SplittingReport", "index case table m_invariant")):
     """The classifier's verdicts on one model, all read off one table.
 
-    ``m_invariant`` is the least degree of a splitting field, assuming a
-    finite residue field.  There a residue extension of degree ``f`` meets
-    the distinguished cyclic extension in degree ``gcd(f, I)``, so the
-    minimum of ``f * e`` over splitting pairs is computable from the graph.
-    The least ``f`` with ``gcd(f, I) = d`` is ``d`` itself, so the minimum
-    runs over the table's true cells.
+    ``table`` maps ``(d, e)`` to whether it splits, for ``d | I`` and ``e``
+    in {1, 2}.  ``m_invariant`` is the least degree of a splitting field,
+    assuming a finite residue field.  There a residue extension of degree
+    ``f`` meets the distinguished cyclic extension in degree ``gcd(f, I)``,
+    so the minimum of ``f * e`` over splitting pairs is computable from the
+    graph.  The least ``f`` with ``gcd(f, I) = d`` is ``d`` itself, so the
+    minimum runs over the table's true cells.
     """
 
-    index: int
-    case: Case
-    table: dict[tuple[int, int], bool]  # (d, e) -> splits, for d | I and e in {1, 2}
-    m_invariant: int
+    __slots__ = ()
 
 
 def divisors(n: int) -> list[int]:

@@ -12,23 +12,21 @@ after construction and may be shared freely.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
     """Malformed graph data or an invalid graph operation."""
 
 
-class Edge(NamedTuple):
+class Edge(namedtuple("Edge", "id tail head")):
     """One undirected edge; ``tail == head`` makes it a loop.
 
-    A named tuple, so immutable, and built without a per-field ``object.__setattr__``.
+    A named tuple, so immutable; ``__slots__ = ()`` spares every edge a ``__dict__``.
     """
 
-    id: str
-    tail: str
-    head: str
+    __slots__ = ()
 
     @property
     def ends(self) -> frozenset[str]:

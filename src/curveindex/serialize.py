@@ -45,7 +45,6 @@ from collections.abc import Iterator
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul, ne
-from pathlib import Path
 
 from .action import CyclicAction
 from .constructions import UNIT, Component, CurveModel
@@ -277,7 +276,7 @@ def dumps_model(m: CurveModel) -> str:
     return "".join(_model_sections(m))
 
 
-def save_model(m: CurveModel, path: str | Path) -> None:
+def save_model(m: CurveModel, path: str | os.PathLike) -> None:
     """Write the model file, :func:`dumps_model`'s text, to ``path`` one section at a time.
 
     The whole text never exists as one string: each section is written as it
@@ -287,7 +286,7 @@ def save_model(m: CurveModel, path: str | Path) -> None:
         out.writelines(_model_sections(m))
 
 
-def load_model(path: str | Path) -> CurveModel:
+def load_model(path: str | os.PathLike) -> CurveModel:
     """The model in the file at ``path``; :class:`ModelFormatError` names the path and what is wrong.
 
     At most :data:`MAX_FILE_BYTES` bytes are read, and a longer file, one

@@ -37,9 +37,9 @@ genus-24 sweep.  :func:`report_to_obj` stays as the exported form.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .blowup import oracle_table
 from .constructions import CurveModel, check_realizability, construct, ladder_model, mobius_ladder, vertex_count
@@ -67,38 +67,27 @@ def admissible_orders(genus: int, genus_one_cap: int) -> list[int]:
     return divisors(abs(2 * genus - 2))
 
 
-class CellReport(NamedTuple):
-    """One cell's checks; the fields, in order, are the keys of its ``--json`` object."""
+class CellReport(namedtuple("CellReport", (
+    "genus order vertices edges euler genus_computed max_degree action_valid connected index case "
+    "classifier_table oracle_table index_ok case_ok prediction_ok oracle_ok realizability failures"
+))):
+    """One cell's checks; the fields, in order, are the keys of its ``--json`` object.
 
-    genus: int | None  # claimed genus, if any
-    order: int  # acting order
-    vertices: int
-    edges: int
-    euler: int
-    genus_computed: int | None  # None when disconnected
-    max_degree: int
-    action_valid: bool
-    connected: bool
-    index: int | None
-    case: Case | None
-    classifier_table: dict[tuple[int, int], bool]
-    oracle_table: dict[tuple[int, int], bool]
-    index_ok: bool | None  # None: nothing claimed to compare against
-    case_ok: bool | None
-    prediction_ok: bool | None
-    oracle_ok: bool
-    realizability: dict[int | float, bool]
-    failures: tuple[str, ...]
+    ``genus`` is the claimed genus, if any, and ``order`` the acting order.
+    ``genus_computed`` is None when the graph is disconnected, and
+    ``index_ok``, ``case_ok`` and ``prediction_ok`` are None when nothing is
+    claimed to compare against.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-class VerificationReport(NamedTuple):
-    cells: tuple[CellReport, ...]
-    e_max: int
-    residue_cardinalities: tuple[int | float, ...]
+class VerificationReport(namedtuple("VerificationReport", "cells e_max residue_cardinalities")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

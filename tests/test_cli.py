@@ -418,8 +418,11 @@ def test_a_file_past_the_decode_budget_is_input_error(tmp_path, argv, text):
          "the oracle table would hold 400000000 cells; the limit is 1000000"),
         (3, 1, ["verify", "--model", "{m}", "--e-max", "100000000"],
          "the oracle table would hold 100000000 cells; the limit is 1000000"),
+        # d = 6 fixes every vertex, so only the drawing would lay out chains
+        (4, 6, ["oracle", "{m}", "--d", "6", "--e", "2000000", "--emit-dot", "{m}.dot"],
+         "the drawing would hold 17999991 chain vertices; the limit is 1000000"),
     ],
-    ids=["oracle", "verify", "verify-trivial"],
+    ids=["oracle", "verify", "verify-trivial", "oracle-emit-dot"],
 )
 def test_oracle_work_past_the_limit_is_input_error(tmp_path, genus, index, argv, message):
     # Each call would allocate gigabytes; it is refused before anything is laid out.

@@ -18,13 +18,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Each CLI call is a fresh process that imports every layer first; building
-    # dataclasses ran dozens of exec calls and pulled in inspect on every start.
+    # dataclasses ran dozens of exec calls and pulled in inspect on every start,
+    # and typing and pathlib (with the modules they import) served only annotations.
+    # -S: a site .pth file may import any of them itself.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = (
         "import sys; start = set(sys.modules); import curveindex.cli; "
-        "print(sorted({'dataclasses', 'inspect'} - start & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} - start & set(sys.modules)))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -46,6 +48,8 @@ def test_every_record_type_is_listed_once():
     }
     listed = [type(r) for r in one_of_each_record()]
     assert len(listed) == len(set(listed)) and set(listed) == defined
+    # Only the records that cache derived data pay for an instance __dict__ (a large model holds an Edge per node).
+    assert {type(r) for r in one_of_each_record() if hasattr(r, "__dict__")} == {MultiGraph, action.CyclicAction, CurveModel}
 
 
 def test_every_record_rejects_field_assignment():
