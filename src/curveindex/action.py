@@ -107,18 +107,11 @@ class ValidationReport(namedtuple("ValidationReport", "violations")):
 def _bijection_violations(mapping: dict[str, str], domain: Set[str], law: str) -> list[Violation]:
     if mapping.keys() == domain == set(mapping.values()):
         return []
-    out = []
-    missing = domain - mapping.keys()
-    extra = mapping.keys() - domain
-    for x in sorted(missing):
-        out.append(Violation(law, x, "no image assigned"))
-    for x in sorted(extra):
-        out.append(Violation(law, x, "not in the graph"))
-    if not missing and not extra:
-        image = set(mapping.values())
-        for x in sorted(domain - image):
-            out.append(Violation(law, x, "never hit: map is not onto"))
-    return out
+    missing, extra = domain - mapping.keys(), mapping.keys() - domain
+    kinds = [(missing, "no image assigned"), (extra, "not in the graph")]
+    if not missing and not extra:  # the keys are right, so some key is never hit
+        kinds.append((domain - set(mapping.values()), "never hit: map is not onto"))
+    return [Violation(law, x, detail) for faults, detail in kinds for x in sorted(faults)]
 
 
 def validate(g: MultiGraph, a: CyclicAction) -> ValidationReport:
@@ -152,10 +145,7 @@ def validate(g: MultiGraph, a: CyclicAction) -> ValidationReport:
             )
 
     if a.order % a.exact_order:  # some cycle length does not divide the order
-        for v in a.vertex_map:
-            if a.order % a.vertex_orbit[v]:
-                violations.append(Violation("order", v, f"vertex not fixed by the {a.order}-th iterate"))
-        for e in a.edge_map:
-            if a.order % a.edge_orbit[e]:
-                violations.append(Violation("order", e, f"edge not fixed by the {a.order}-th iterate"))
+        for kind, mapping, orbit in (("vertex", a.vertex_map, a.vertex_orbit), ("edge", a.edge_map, a.edge_orbit)):
+            violations += [Violation("order", x, f"{kind} not fixed by the {a.order}-th iterate")
+                           for x in mapping if a.order % orbit[x]]
     return ValidationReport(tuple(violations))

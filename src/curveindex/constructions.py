@@ -275,30 +275,21 @@ def check_realizability(m: CurveModel, q: int | float, mode: str = "full") -> Re
     if q != math.inf and (not isinstance(q, int) or q < 2):
         raise ValueError(f"residue cardinality must be an integer >= 2 or math.inf, got {q!r}")
 
-    checks = []
-    connected = is_connected(m.graph)
-    checks.append(RealizabilityCheck("connected", connected))
-
+    connected = is_connected(m.graph)  # first: the search's neighbour lists come and go before the degrees are cached
     deg = m.graph.degrees
     too_big = sorted(compress(deg, map((3).__lt__, deg.values())))  # degree above 3
-    checks.append(RealizabilityCheck("degree-bound", not too_big, _named("vertices of degree > 3: ", too_big)))
-
     if q == math.inf:
-        checks.append(RealizabilityCheck("point-supply", True, "infinite residue field"))
-    else:
+        passed, detail = True, "infinite residue field"
+    elif mode == "full":
+        # q**k > k for q >= 2, so an exponent past the degree cannot change the verdict
         orbit = m.action.vertex_orbit
-        if mode == "full":
-            # q**k > k for q >= 2, so an exponent past the degree cannot change the verdict
-            bad = sorted(v for v in m.graph.vertices if deg[v] > q ** min(orbit[v], deg[v]))
-            checks.append(RealizabilityCheck("point-supply", not bad, _named(f"too many nodes for q={q} at: ", bad)))
-        else:
-            good = sorted(v for v, size in orbit.items() if size == 1 and deg[v] <= q)
-            checks.append(
-                RealizabilityCheck(
-                    "point-supply",
-                    bool(good),
-                    f"fixed low-degree vertex: {good[0]}" if good else
-                    f"no fixed vertex of degree <= {q}",
-                )
-            )
-    return RealizabilityReport(tuple(checks))
+        bad = sorted(v for v in m.graph.vertices if deg[v] > q ** min(orbit[v], deg[v]))
+        passed, detail = not bad, _named(f"too many nodes for q={q} at: ", bad)
+    else:
+        good = sorted(v for v, size in m.action.vertex_orbit.items() if size == 1 and deg[v] <= q)
+        passed, detail = bool(good), f"fixed low-degree vertex: {good[0]}" if good else f"no fixed vertex of degree <= {q}"
+    return RealizabilityReport((
+        RealizabilityCheck("connected", connected),
+        RealizabilityCheck("degree-bound", not too_big, _named("vertices of degree > 3: ", too_big)),
+        RealizabilityCheck("point-supply", passed, detail),
+    ))

@@ -45,13 +45,10 @@ class MultiGraph(namedtuple("MultiGraph", "vertices edges")):
         if not self.vertices:
             raise GraphError("a multigraph needs at least one vertex")
         vs = self.vertex_set
-        if len(vs) != len(self.vertices):
-            dupes = [v for v, k in Counter(self.vertices).items() if k > 1]
-            raise GraphError(f"duplicate vertex identifiers: {dupes}")
         ids, tails, heads = tuple(zip(*self.edges)) or ((), (), ())
-        if len(set(ids)) != len(ids):
-            dupes = [i for i, k in Counter(ids).items() if k > 1]
-            raise GraphError(f"duplicate edge identifiers: {dupes}")
+        for kind, names, distinct in (("vertex", self.vertices, vs), ("edge", ids, set(ids))):
+            if len(distinct) != len(names):
+                raise GraphError(f"duplicate {kind} identifiers: {[x for x, k in Counter(names).items() if k > 1]}")
         if not vs.issuperset(tails) or not vs.issuperset(heads):  # the endpoint law, whole; then name its first breach
             e = next(e for e in self.edges if e.tail not in vs or e.head not in vs)
             raise GraphError(f"edge {e.id!r} has an unknown endpoint ({e.tail!r}, {e.head!r})")

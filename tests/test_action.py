@@ -14,7 +14,7 @@ from conftest import (
     random_voltage_models,
     single_edge_swap_model,
 )
-from curveindex.action import ActionError, CyclicAction, cycles, map_power, validate
+from curveindex.action import ActionError, CyclicAction, Violation, cycles, map_power, validate
 from curveindex.blowup import _lengths
 from curveindex.constructions import as_model, coathanger_chain, construct, cycle_model, mobius_ladder
 from curveindex.invariants import ExtensionSpec, divisors, splits, splitting_report
@@ -49,6 +49,15 @@ def test_missing_and_non_onto_maps_reported():
     assert any(v.law == "vertex-bijection" and v.subject == "b" for v in report.violations)
     report = validate(graph, CyclicAction(2, {"a": "a", "b": "a"}, {"e": "e"}))
     assert any("onto" in v.detail for v in report.violations)
+
+
+def test_missing_keys_are_named_before_extra_keys():
+    graph = MultiGraph.build(["x", "y"], [("e", "x", "y")])
+    report = validate(graph, CyclicAction(2, {"x": "x", "a": "x"}, {"e": "e"}))  # "y" has no image; "a" is no vertex
+    assert report.violations == (
+        Violation("vertex-bijection", "y", "no image assigned"),
+        Violation("vertex-bijection", "a", "not in the graph"),
+    )
 
 
 def test_nonpositive_order_invalid():

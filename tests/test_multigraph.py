@@ -67,6 +67,8 @@ def test_empty_graph_rejected():
 def test_duplicate_vertex_ids_rejected():
     with pytest.raises(GraphError, match="duplicate vertex"):
         MultiGraph.build(["a", "a"], [])
+    with pytest.raises(GraphError, match=r"^duplicate vertex identifiers: \['a'\]$"):  # named before the edges
+        MultiGraph.build(["a", "b", "a"], [("e", "a", "b"), ("e", "b", "a")])
 
 
 def test_duplicate_edge_ids_rejected():
