@@ -88,6 +88,11 @@ class CyclicAction(namedtuple("CyclicAction", "order vertex_map edge_map")):
         return _cycle_lengths(self.edge_map)
 
     @cached_property
+    def cycle_lengths(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The distinct lengths of the generator's cycles on vertices, and on edges."""
+        return frozenset(self.vertex_orbit.values()), frozenset(self.edge_orbit.values())
+
+    @cached_property
     def exact_order(self) -> int:
         """Order of the generator: the lcm of all cycle lengths."""
         return math.lcm(*self.vertex_orbit.values(), *self.edge_orbit.values())

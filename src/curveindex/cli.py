@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable
+from functools import cache
 
 from . import multigraph
 from .action import cycles
@@ -253,15 +254,23 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser, or the full one for ``None``.
+
+    Built once per process and shared by every later call, so nothing may change it after it is built.
+    """
+    return build_parser(COMMANDS if command is None else (command,))
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Only the named command's subparser is built.  The full parser, whose usage
-    # lists every command, answers help, a missing or unknown command and leftovers.
-    known = bool(argv) and argv[0] in COMMANDS
-    args, extra = build_parser(argv[:1] if known else COMMANDS).parse_known_args(argv)
+    # Only the named command's subparser is built, once per process.  The full parser,
+    # whose usage lists every command, answers help, a missing or unknown command and leftovers.
+    args, extra = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_known_args(argv)
     if extra:
-        build_parser().parse_args(argv)
+        _parser(None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

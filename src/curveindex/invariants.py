@@ -85,8 +85,7 @@ def index(m: CurveModel) -> int:
 
 def _table(a: CyclicAction) -> dict[tuple[int, int], bool]:
     """``(d, 1)`` iff some vertex cycle length divides ``d``; ``(d, 2)`` iff some vertex or edge one does."""
-    vertex = set(a.vertex_orbit.values())
-    edge = set(a.edge_orbit.values())
+    vertex, edge = a.cycle_lengths
     table = {}
     for d in divisors(a.order):
         table[(d, 1)] = fixed = any(d % n == 0 for n in vertex)

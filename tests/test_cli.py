@@ -12,7 +12,7 @@ import pytest
 from conftest import chain_name_clash_model, circulant_model, corrupted_two_cycle_model
 from curveindex.action import CyclicAction
 from curveindex.blowup import oracle_table
-from curveindex.cli import COMMANDS, main
+from curveindex.cli import COMMANDS, _parser, main
 from curveindex.constructions import CurveModel, as_model, construct
 from curveindex.invariants import divisors
 from curveindex.multigraph import MultiGraph, euler_characteristic
@@ -495,8 +495,10 @@ def test_order_above_cap_is_input_error(tmp_path, argv):
     ids=["mtheorem", "index", "index-help", "help", "no-command", "unknown-command", "leftover-argument"],
 )
 def test_one_call_builds_only_its_subparser(tmp_path, capsys, monkeypatch, argv, built):
+    # A first call builds only the parsers it needs; an identical second call reuses them.
     path = tmp_path / "m.json"
     save_model(construct(4, 6), path)
+    argv = [a.format(m=path) for a in argv]
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -505,8 +507,38 @@ def test_one_call_builds_only_its_subparser(tmp_path, capsys, monkeypatch, argv,
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    exit_and_output(capsys, lambda: main([a.format(m=path) for a in argv]))
-    assert names == built
+    _parser.cache_clear()
+    try:
+        first = exit_and_output(capsys, lambda: main(argv))
+        assert names == built
+        names.clear()
+        assert exit_and_output(capsys, lambda: main(argv)) == first
+        assert names == []
+    finally:
+        _parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [
+        (["verify", "--model", "{m}", "--residue-q", "3", "--json"], ["verify", "--model", "{m}", "--json"]),
+        (["check", "{m}", "--residue-q", "zero"], ["check", "{m}", "--residue-q", "2"]),
+        (["index", "--help"], ["index", "{m}"]),
+        (["bogus"], ["splitting", "{m}", "--json"]),
+    ],
+    ids=["residue-q", "usage-error", "help", "unknown-command"],
+)
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch, earlier, later):
+    path = tmp_path / "m.json"
+    save_model(construct(4, 6), path)
+    monkeypatch.setenv("COLUMNS", "80")  # help is laid out alike in and out of process
+    _parser.cache_clear()
+    exit_and_output(capsys, lambda: main([a.format(m=path) for a in earlier]))
+    code, out, err = exit_and_output(capsys, lambda: main([a.format(m=path) for a in later]))
+    fresh = run_in_subprocess(later, path)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    if later[0] == "verify":
+        assert json.loads(out)["residue_cardinalities"] == ["inf"]
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,13 @@ def test_splits_depends_on_parity_only(model_pool):
                 assert splits(m, ExtensionSpec(d, e)) == base[e % 2]
 
 
+def test_splits_answers_each_cell_as_the_report_table(model_pool):
+    # splits reads the action's cached cycle lengths, so cell-by-cell answers must match one whole table
+    for m in [construct(1001, 400), *model_pool]:
+        table = splitting_report(m).table
+        assert {(d, e): splits(m, ExtensionSpec(d, e)) for d, e in table} == table
+
+
 def test_splits_monotone_in_codegree(model_pool):
     for m in model_pool:
         divs = divisors(m.action.order)
