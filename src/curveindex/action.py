@@ -94,8 +94,8 @@ class CyclicAction(namedtuple("CyclicAction", "order vertex_map edge_map")):
 
     @cached_property
     def exact_order(self) -> int:
-        """Order of the generator: the lcm of all cycle lengths."""
-        return math.lcm(*self.vertex_orbit.values(), *self.edge_orbit.values())
+        """Order of the generator: the lcm of the distinct cycle lengths."""
+        return math.lcm(*frozenset.union(*self.cycle_lengths))
 
 
 Violation = namedtuple("Violation", "law subject detail")

@@ -120,10 +120,10 @@ def cmd_splitting(args) -> int:
     report = splitting_report(model)
     obj = {
         "index": report.index,
-        "case": report.case.value,
+        "case": report.case,
         "table": table_obj(report.table),
     }
-    lines = [f"index: {report.index}", f"case:  {report.case.value}"]
+    lines = [f"index: {report.index}", f"case:  {report.case}"]
     if args.m_invariant:
         obj["m_invariant"] = report.m_invariant
         lines.append(f"m-invariant: {report.m_invariant}")
@@ -136,9 +136,9 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_mtheorem(args) -> int:
-    case = Case(args.case) if args.case else expected_case(args.genus, args.index)
+    case = args.case or expected_case(args.genus, args.index)
     verdict = main_theorem_prediction(args.genus, args.index, ExtensionSpec(args.d, args.e), case)
-    _emit(args, {"splits": verdict, "case": case.value}, ["yes" if verdict else "no"], indent=None)
+    _emit(args, {"splits": verdict, "case": case}, ["yes" if verdict else "no"], indent=None)
     return 0
 
 
@@ -218,7 +218,7 @@ COMMANDS = {
         _arg("--index", type=int, required=True),
         _arg("--d", type=int, required=True),
         _arg("--e", type=int, required=True),
-        _arg("--case", choices=[c.value for c in Case], default=None),
+        _arg("--case", choices=(Case.CASE1, Case.CASE2), default=None),
         _JSON,
     )),
     "oracle": ("blowup-oracle verdict for a model file and (d, e)", cmd_oracle, (

@@ -55,7 +55,7 @@ from .serialize import _container
 MAX_SWEEP = 10**6
 
 
-def expected_case(genus: int, order: int) -> Case:
+def expected_case(genus: int, order: int) -> str:
     """Case 1 exactly for odd order or genus one."""
     return Case.CASE1 if order % 2 == 1 or genus == 1 else Case.CASE2
 
@@ -149,7 +149,7 @@ def _claim_laws(m: CurveModel, classifier: SplittingReport) -> tuple[list[str], 
         (exact != order, f"action order: exact {exact}, declared {order}"),
     ] if broken]
     case, want_case = classifier.case, expected_case(genus, order)
-    case_lines = [] if case is want_case else [f"case: computed {case.value}, expected {want_case.value}"]
+    case_lines = [] if case == want_case else [f"case: computed {case}, expected {want_case}"]
     table = sorted(classifier.table.items())
     try:
         predicted = [main_theorem_prediction(genus, order, ExtensionSpec(d, e), want_case) for (d, e), _ in table]
@@ -223,7 +223,7 @@ def run_verification(
 
 def render_cell(c: CellReport) -> str:
     genus = "?" if c.genus is None else c.genus
-    case = "?" if c.case is None else c.case.value
+    case = c.case or "?"
     idx = "?" if c.index is None else c.index
     status = "ok" if c.passed else "FAIL"
     return (
@@ -255,7 +255,6 @@ def report_to_obj(r: VerificationReport) -> dict:
     for c in r.cells:
         cell = c._asdict()
         cell.update(
-            case=c.case.value if c.case else None,
             classifier_table=table_obj(c.classifier_table),
             oracle_table=table_obj(c.oracle_table),
             realizability={str(_q_obj(q)): v for q, v in c.realizability.items()},
@@ -306,7 +305,6 @@ def dumps_report(r: VerificationReport) -> str:
         return _container([rows.get(item) or row(item) for item in sorted(t.items())], "[]", "      ")
 
     writers = {
-        "case": lambda x: _scalar(None if x is None else x.value),
         "classifier_table": table,
         "oracle_table": table,
         "realizability": lambda x: _container(

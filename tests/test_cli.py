@@ -332,13 +332,17 @@ def test_unparseable_model_is_input_error(tmp_path, capsys):
 HUGE_ORDER = 2 * 10**7
 
 
+def child_env():
+    """The environment of a child interpreter that imports ``curveindex`` from ``src/``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_in_subprocess(argv, path, preexec_fn=None):
     """Run the CLI in a subprocess, bounded at 10 s, with ``{m}`` in ``argv`` standing for ``path``."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "curveindex.cli"] + [a.format(m=path) for a in argv]
     try:
-        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10, preexec_fn=preexec_fn)
+        return subprocess.run(cmd, capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=preexec_fn)
     except subprocess.TimeoutExpired:
         pytest.fail(f"{argv[0]} did not finish within 10 s on {path.name}")
 
@@ -396,8 +400,9 @@ def limit_address_space():
     [
         "[" + "{}," * (MAX_DECODE_ITEMS // 2) + "0]",
         "[" + '"ab",' * MAX_DECODE_ITEMS + '"ab"]',
+        "[" + "0," * MAX_DECODE_ITEMS + "0]",
     ],
-    ids=["empty-objects", "short-strings"],
+    ids=["empty-objects", "short-strings", "commas"],
 )
 def test_a_file_past_the_decode_budget_is_input_error(tmp_path, argv, text):
     # One more '{', '[' or ',' than the budget, each file far below MAX_FILE_BYTES; refused before decoding.
@@ -467,6 +472,25 @@ def test_a_file_past_the_size_limit_is_input_error(argv):
     proc = run_in_subprocess(argv, Path("/dev/zero"), preexec_fn=limit_address_space)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: /dev/zero: larger than {MAX_FILE_BYTES} bytes"]
+
+
+@pytest.mark.parametrize("case, verdict", [("Case1", "no"), ("Case2", "yes")])
+def test_mtheorem_reads_the_case_from_a_real_argv(tmp_path, case, verdict):
+    # A string from sys.argv is not the interned constant: only a fresh process shows a case compared by identity.
+    argv = ["mtheorem", "--genus", "4", "--index", "6", "--d", "3", "--e", "2", "--case", case]
+    proc = run_in_subprocess(argv, tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{verdict}\n", "")
+
+
+def test_importing_the_classifier_loads_no_enum():
+    # The case is one of two plain strings.  -S: a site .pth file may import enum itself.
+    code = (
+        "import sys; start = set(sys.modules); import curveindex.invariants; "
+        "print('enum' in set(sys.modules) - start)"
+    )
+    cmd = [sys.executable, "-S", "-c", code]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env(), timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,8 @@ from conftest import (
     prism_model,
     single_edge_swap_model,
 )
-from curveindex.action import CyclicAction, validate
+from curveindex import invariants
+from curveindex.action import ActionError, CyclicAction, validate
 from curveindex.blowup import oracle_table
 from curveindex.constructions import UNIT, Component, CurveModel, as_model, construct, cycle_model
 from curveindex.invariants import (
@@ -153,6 +154,23 @@ def test_splits_answers_each_cell_as_the_report_table(model_pool):
     for m in [construct(1001, 400), *model_pool]:
         table = splitting_report(m).table
         assert {(d, e): splits(m, ExtensionSpec(d, e)) for d, e in table} == table
+
+
+def test_splits_reads_only_its_own_row(monkeypatch):
+    # Listing the divisors of 10**12 by trial division took about 44 ms; one cell needs only its own row.
+    def refuse(n):
+        raise RuntimeError(f"divisors({n}) listed")
+
+    order = 10**12
+    m = CurveModel(MultiGraph.build(["a"], []), CyclicAction(order, {"a": "a"}, {}), {"a": Component()}, None)
+    monkeypatch.setattr(invariants, "divisors", refuse)
+    for d in (1, 2**12, 5**12, order):
+        assert splits(m, ExtensionSpec(d, 1)) is True
+        assert splits(m, ExtensionSpec(d, 2)) is True
+    with pytest.raises(ActionError, match="does not divide"):
+        splits(m, ExtensionSpec(7, 1))
+    with pytest.raises(RuntimeError, match=r"divisors\(1000000000000\) listed"):
+        splitting_report(m)
 
 
 def test_splits_monotone_in_codegree(model_pool):
